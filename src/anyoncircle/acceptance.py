@@ -70,7 +70,6 @@ from .schwinger import (
     schwinger_quadrature,
     schwinger_trace,
 )
-from .sector import SectorEngine
 
 CLAIM_IDS = (
     "prop-schwinger-blip",
@@ -120,23 +119,32 @@ class CriterionResult:
 
 
 class _Gate:
-    """Smallest slack across every enforced bound."""
+    """Smallest slack across every enforced bound.
+
+    A gate that enforced no bound has checked nothing: it fails, and its
+    margin stays +inf, which the summary writes as null.
+    """
 
     def __init__(self) -> None:
         self.margin = math.inf
+        self.bounds = 0
+
+    def _slack(self, slack: float) -> None:
+        self.margin = min(self.margin, slack)
+        self.bounds += 1
 
     def below(self, value: float, bound: float) -> None:
-        self.margin = min(self.margin, bound - value)
+        self._slack(bound - value)
 
     def decrease(self, prev: float, nxt: float) -> None:
-        self.margin = min(self.margin, prev - nxt)
+        self._slack(prev - nxt)
 
     def require(self, flag: bool) -> None:
-        self.margin = min(self.margin, 1.0 if flag else -1.0)
+        self._slack(1.0 if flag else -1.0)
 
     @property
     def passed(self) -> bool:
-        return self.margin > 0.0
+        return self.bounds > 0 and self.margin > 0.0
 
 
 def _params(**kw) -> str:
@@ -158,9 +166,7 @@ class ExchangeSweep:
     One table set serves every spin, both pairings, and every winding:
     winding and pairing enter only through exact prefactor scalars applied
     in ``scaled_elements``.  Construction is lock guarded so concurrent
-    claim runners build it exactly once; sector matrices are dropped right
-    after each window is measured because the largest ones are close to a
-    gigabyte.
+    claim runners build it exactly once.
     """
 
     def __init__(
@@ -221,7 +227,6 @@ class ExchangeSweep:
                     floor=float(self._policy["floor"]),
                 )
                 tbl = ctx.measure(list(self.spins))
-                ctx.cache.clear()
                 self._built[m] = (ctx, tbl)
             return dict(self._built)
 
@@ -656,12 +661,12 @@ def check_rotation_identities(
     start = time.perf_counter()
     gate = _Gate()
     rows: list[CaseRow] = []
-    engine = SectorEngine(ModeWindow(cutoff))
-    w = engine.basis.window
+    scan_basis = FockBasis(ModeWindow(cutoff))
+    w = scan_basis.window
     for spin in spins:
         worst = 0.0
         for q in range(-w.n_minus, w.n_plus + 1):
-            scalar, spread = rotation_sector_scalar(spin, engine, q)
+            scalar, spread = rotation_sector_scalar(spin, scan_basis, q)
             gate.require(spread == 0.0)
             worst = max(worst, abs(scalar - np.exp(2j * np.pi * spin * q * q)))
         gate.below(worst, scan_tol)
@@ -835,8 +840,9 @@ def check_winding_algebra(pairs: int = 1000, seed: int = DEFAULT_SEED) -> Criter
         shifted = CoveringInterval(CoveringPoint(c1 + TWO_PI * k), hw1)
         if relative_winding(shifted, second) != n + k:
             shift_fail += 1
-    gate.require(anti_fail == 0)
-    gate.require(shift_fail == 0)
+    if pairs:
+        gate.require(anti_fail == 0)
+        gate.require(shift_fail == 0)
     rows = [
         CaseRow("winding-antisymmetry", 0, _params(pairs=pairs, seed=seed),
                 complex(anti_fail), 0j, float(anti_fail)),

@@ -10,12 +10,13 @@ covering coordinate; the two implementers depend on it only through the base
 projection (exp(-i omega Q) is 2 pi periodic on integer charge spectra).
 
 Exchange phases are measured as median matrix-element ratios between the two
-operator orderings over deterministic truncation-safe probes.  For windows
-past the dense limit the products are evaluated stage by stage inside charge
-sectors: dressing exponentials by Chebyshev series, the shift implementer by
-direct bitmask action, all scalar phases exactly.  Winding numbers enter the
-measured elements only through the charge prefactor, so a single staged
-computation serves every relative winding of the same base geometry.
+operator orderings over deterministic truncation-safe probes.  Every
+element is a minor determinant (see ``exterior``): the dressings and the
+shift implementer are second quantizations of one-particle maps, so a
+product of them is one exterior power times exact scalar phases, and no
+Fock basis is enumerated; the dense ``build_field`` is the small-M oracle.  Winding numbers enter the measured
+elements only through the charge prefactor, so a single computation serves
+every relative winding of the same base geometry.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from .blip import Mollifier, blip
 from .covering import TWO_PI, CoveringInterval, CoveringPoint, project, relative_winding
 from .errors import SeparationViolation, WindowTooSmall
+from .exterior import dressing_unitary, require_mask_window, shift_sign, wedge_elements
 from .fock import (
     FockBasis,
     FockOperator,
@@ -36,11 +38,11 @@ from .fock import (
     implementer_shift,
     phase_from_elements,
     pattern_probes,
+    require_dense_window,
     truncation_safe_probes,
 )
 from .modes import ModeWindow, OneParticleOperator, multiplication_operator, shift_operator
 from .schwinger import schwinger_blip_closed_form
-from .sector import SectorEngine, SectorMatrixCache
 
 import scipy.sparse as sp
 
@@ -104,8 +106,7 @@ def blip_multiplier(
 
     With drop_mean the constant pi is removed from the symbol; the dropped
     part second-quantizes to the charge phase exp(i lambda pi Q) and is
-    restored exactly by the callers.  Halving the symbol range this way
-    halves the Chebyshev bandwidth of the dressing exponential.
+    restored exactly by the callers.
     """
     grid = window.default_grid() if grid_size is None else grid_size
     _resolvability_guard(mollifier.epsilon, window, grid)
@@ -134,12 +135,8 @@ def charge_prefactor_diagonal(basis: FockBasis, spin: float, omega: float) -> np
 
 def build_field(spec: AnyonSpec, window: ModeWindow, grid_size: int | None = None) -> AnyonField:
     """Materialized field operator; dense construction, small windows only."""
+    require_dense_window(window, "materialized fields")
     basis = FockBasis(window)
-    if basis.dim > 2048:
-        raise ValueError(
-            "materialized fields are limited to dense windows; use ExchangeContext "
-            "for staged sector measurements at larger M"
-        )
     grid = window.default_grid() if grid_size is None else grid_size
     _resolvability_guard(spec.mollifier.epsilon, window, grid)
     omega = spec.omega.omega
@@ -199,13 +196,20 @@ def aux_predicted_phase(
     return -np.exp(-2j * spin * s_term)
 
 
-class ExchangeContext:
-    """Staged exchange measurement for one base geometry on one window.
+def _coupling(spin: float) -> float:
+    """lambda of the default coupling sign; exactly zero at s = 1/2."""
+    return 0.0 if spin == 0.5 else -math.sqrt(1.0 - 2.0 * spin)
 
-    Holds the sector engine, the two dressing symbols, and the probe sets;
-    `measure` produces element tables for a list of spins, and the phase
-    extractors rescale those tables by the exact charge-prefactor scalars,
-    so winding sweeps and both pairings reuse one table.
+
+class ExchangeContext:
+    """Exchange measurement for one base geometry on one window.
+
+    Holds the two mean-dropped dressing symbols and the probe states as
+    occupation bitmasks; `measure` produces element tables for a list of
+    spins as minor determinants, and the phase extractors rescale those
+    tables by the exact charge-prefactor scalars, so winding sweeps and
+    both pairings reuse one table.  No Fock basis is built, so the window
+    is limited only by the bitmask width.
     """
 
     def __init__(
@@ -221,61 +225,33 @@ class ExchangeContext:
         band: int = 2,
         grid_size: int | None = None,
         floor: float = 1e-10,
-        cache_capacity: int = 2,
     ):
         if not window.size >= 5:
             raise ValueError("exchange measurements need cutoff M >= 2")
+        require_mask_window(window)
         self.window = window
         self.base1 = point1.base
         self.base2 = point2.base
         self.eps1 = mollifier1.epsilon
         self.eps2 = mollifier2.epsilon
         self.floor = floor
-        self.engine = SectorEngine(window)
-        self.cache = SectorMatrixCache(self.engine, cache_capacity)
         self.beta1 = blip_multiplier(mollifier1, window, self.base1, grid_size)
         self.beta2 = blip_multiplier(mollifier2, window, self.base2, grid_size)
-        basis = self.engine.basis
         self.v_groups: dict[int, np.ndarray] = {}
         self.w_product: dict[int, np.ndarray] = {}
         self.w_adjoint: dict[int, np.ndarray] = {}
         # pattern probes keep the same physical states at every cutoff, so
         # error-vs-M curves track element convergence, not probe churn
         for q in probe_charges:
-            v_masks = np.asarray(
-                pattern_probes(basis, q, band=band, cap=v_cap), dtype=np.int64
+            self.v_groups[q] = np.asarray(
+                pattern_probes(window, q, band=band, cap=v_cap), dtype=np.int64
             )
-            self.v_groups[q] = v_masks
             self.w_product[q] = np.asarray(
-                pattern_probes(basis, q + 2, band=band, cap=w_cap), dtype=np.int64
+                pattern_probes(window, q + 2, band=band, cap=w_cap), dtype=np.int64
             )
             self.w_adjoint[q] = np.asarray(
-                pattern_probes(basis, q, band=band, cap=w_cap), dtype=np.int64
+                pattern_probes(window, q, band=band, cap=w_cap), dtype=np.int64
             )
-
-    def _dress(self, label: str, matrix: np.ndarray, t: float, q: int, block: np.ndarray) -> np.ndarray:
-        return self._dress_multi(label, matrix, [t], q, block)[0]
-
-    def _dress_multi(
-        self, label: str, matrix: np.ndarray, ts: list[float], q: int, block: np.ndarray
-    ) -> list[np.ndarray]:
-        """Mean-dropped dressings at several couplings on one shared sweep."""
-        if all(t == 0.0 for t in ts):
-            return [np.array(block, copy=True) for _ in ts]
-        csr = self.cache.get(label, matrix, q)
-        outs = self.engine.expi_dgamma_multi_apply(matrix, ts, q, block, csr=csr)
-        # restore the dropped mean of the symbol: exp(i t pi Q) on sector q
-        return [np.exp(1j * t * math.pi * q) * out for t, out in zip(ts, outs)]
-
-    def _rows(self, masks: np.ndarray, charge: int) -> np.ndarray:
-        return self.engine.positions(masks, charge)
-
-    def _probe_block(self, q: int) -> np.ndarray:
-        masks = self.v_groups[q]
-        local = self._rows(masks, q)
-        block = np.zeros((self.engine.sector_dim(q), masks.size), dtype=complex)
-        block[local, np.arange(masks.size)] = 1.0
-        return block
 
     def measure(self, spins: list[float]) -> dict:
         """Element tables for every spin and probe charge.
@@ -289,36 +265,39 @@ class ExchangeContext:
         has cancelled outright.  Keeping the shifts adjacent means their
         window-edge defects hit both operator orders identically instead
         of opposite edges, which is what makes the error-vs-M curves of
-        the phase ratios decay cleanly.  All remaining prefactor scalars
-        are applied later, in scaled_elements and aux_exchange_phase.
+        the phase ratios decay cleanly.
+
+        With D = c Lambda(U) and G = (-1)^(M+q) c*_(-M) Lambda(V), the
+        product cores are G^2 = -c*_(-M) c*_(-M+1) Lambda(V^2) times the
+        one-particle products V^2 U1 U2 and V^2 U2 U1, and the adjoint cores
+        are Lambda(U1 U2*) and Lambda(U2* U1): every element is one minor.
+        All remaining prefactor scalars are applied later, in
+        scaled_elements and aux_exchange_phase.
         """
-        engine = self.engine
-        lams = [0.0 if s == 0.5 else -math.sqrt(1.0 - 2.0 * s) for s in spins]
+        w = self.window
+        v2 = np.eye(w.size, k=-2, dtype=complex)
         tables: dict = {s: {} for s in spins}
-        for q in self.v_groups:
-            v = self._probe_block(q)
-            width = v.shape[1]
-            rows_fw = self._rows(self.w_product[q], q + 2)
-            rows_adj = self._rows(self.w_adjoint[q], q)
-            # first-stage dressings of v share one sweep per symbol across
-            # every coupling; D2 needs both signs for the adjoint pairing
-            d1_all = self._dress_multi("b1", self.beta1, lams, q, v)
-            pm = [x for lam in lams for x in (lam, -lam)]
-            d2_all = self._dress_multi("b2", self.beta2, pm, q, v)
-            for i, (s, lam) in enumerate(zip(spins, lams)):
-                d1v, d2v, d2m = d1_all[i], d2_all[2 * i], d2_all[2 * i + 1]
-                stacked = self._dress_multi(
-                    "b1", self.beta1, [lam], q, np.concatenate([d2v, d2m], axis=1)
-                )[0]
-                x12, a12 = stacked[:, :width], stacked[:, width:]
-                x21, a21 = self._dress_multi("b2", self.beta2, [lam, -lam], q, d1v)
-                fw = engine.shift_apply(engine.shift_apply(x12, q), q + 1)
-                rv = engine.shift_apply(engine.shift_apply(x21, q), q + 1)
+        for s in spins:
+            lam = _coupling(s)
+            c1, u1 = dressing_unitary(self.beta1, lam, w)
+            c2, u2 = dressing_unitary(self.beta2, lam, w)
+            c2_adj, u2_adj = dressing_unitary(self.beta2, -lam, w)
+            product_core = (v2 @ u1 @ u2, v2 @ u2 @ u1)
+            adjoint_core = (u1 @ u2_adj, u2_adj @ u1)
+            adjoint_scalar = c1 * c2_adj
+            for q, v in self.v_groups.items():
+                # both shift gauges, both dressing scalars, and the dropped
+                # symbol means exp(i lam pi q) restored on both dressings
+                product_scalar = shift_sign(w, q) * shift_sign(w, q + 1) * c1 * c2
+                product_scalar *= np.exp(2j * lam * math.pi * q)
+                rows_fw, rows_adj = self.w_product[q], self.w_adjoint[q]
+                fw, rv = (wedge_elements(x, rows_fw, v, w, creations=2) for x in product_core)
+                afw, arv = (wedge_elements(x, rows_adj, v, w) for x in adjoint_core)
                 tables[s][q] = {
-                    "fw": fw[rows_fw, :],
-                    "rv": rv[rows_fw, :],
-                    "afw": a12[rows_adj, :],
-                    "arv": a21[rows_adj, :],
+                    "fw": product_scalar * fw,
+                    "rv": product_scalar * rv,
+                    "afw": adjoint_scalar * afw,
+                    "arv": adjoint_scalar * arv,
                 }
         return tables
 
@@ -338,7 +317,7 @@ class ExchangeContext:
         """
         if abs(project(omega1)[0] - self.base1) > 1e-9 or abs(project(omega2)[0] - self.base2) > 1e-9:
             raise ValueError("covering points do not project onto the context geometry")
-        lam = 0.0 if spin == 0.5 else -math.sqrt(1.0 - 2.0 * spin)
+        lam = _coupling(spin)
         forward: list[np.ndarray] = []
         reversed_: list[np.ndarray] = []
         for q, entry in tables[spin].items():
@@ -496,15 +475,15 @@ def verify_aux_commutation(
 
 
 def rotation_sector_scalar(
-    spin: float, engine: SectorEngine, charge: int, omega: float = TWO_PI
+    spin: float, basis: FockBasis, charge: int, omega: float = TWO_PI
 ) -> tuple[complex, float]:
-    """Scalar of U(omega) on the charge sector and its spread across states.
+    """Scalar of U(omega) on the charge sector of ``basis`` and its spread across states.
 
     At omega = 2 pi the free factor is the identity by base reduction, so
     the spread is exactly zero and the scalar is exp(2 pi i s q^2).
     """
     base, _ = project(omega)
-    theta = engine.theta(charge)
+    theta = basis.theta[basis.sector_masks(charge)]
     diag = np.exp(1j * spin * omega * float(charge) ** 2) * np.exp(-1j * base * theta)
     scalar = diag[0]
     spread = float(np.max(np.abs(diag - scalar)))
@@ -538,13 +517,14 @@ def verify_spin_recurrence(
     compared to 2s on the unit circle (branch free): d_(q+1) conj(d_q)
     against exp(4 pi i s).
     """
-    engine = SectorEngine(window)
-    cache = SectorMatrixCache(engine, capacity=2)
+    basis = FockBasis(window)
     base = omega.base
     full = omega.omega
     beta = blip_multiplier(mollifier, window, base)
-    lam = 0.0 if spin == 0.5 else -math.sqrt(1.0 - 2.0 * spin)
-    basis = engine.basis
+    lam = _coupling(spin)
+    dress_scalar, unitary = dressing_unitary(beta, lam, window)
+    # G exp(-i omega Q) D on sector q is one charged minor of V U
+    shifted_dressing = np.eye(window.size, k=-1, dtype=complex) @ unitary
 
     conj_phases: dict[int, complex] = {}
     predicted: dict[int, complex] = {}
@@ -554,24 +534,17 @@ def verify_spin_recurrence(
         w_masks = np.asarray(
             truncation_safe_probes(basis, [q + 1], margin=2, cap=w_cap), dtype=np.int64
         )
-        local = engine.positions(v_masks, q)
-        block = np.zeros((engine.sector_dim(q), v_masks.size), dtype=complex)
-        block[local, np.arange(v_masks.size)] = 1.0
+        phases = (
+            np.exp(1j * spin * full * (2 * q + 1))
+            * np.exp(-1j * full * q)
+            * np.exp(1j * lam * math.pi * q)
+            * dress_scalar
+            * shift_sign(window, q)
+        )
+        plain = phases * wedge_elements(shifted_dressing, w_masks, v_masks, window, creations=1)
 
-        if lam == 0.0:
-            dressed = block
-        else:
-            csr = cache.get("beta", beta, q)
-            dressed = np.exp(1j * lam * math.pi * q) * engine.expi_dgamma_apply(
-                beta, lam, q, block, csr=csr
-            )
-        shifted = engine.shift_apply(np.exp(-1j * full * q) * dressed, q)
-        field_elems = np.exp(1j * spin * full * (2 * q + 1)) * shifted
-        rows = engine.positions(w_masks, q + 1)
-        plain = field_elems[rows, :]
-
-        u_in, spread_in = rotation_sector_scalar(spin, engine, q)
-        u_out, spread_out = rotation_sector_scalar(spin, engine, q + 1)
+        u_in, spread_in = rotation_sector_scalar(spin, basis, q)
+        u_out, spread_out = rotation_sector_scalar(spin, basis, q + 1)
         max_spread = max(max_spread, spread_in, spread_out)
         conjugated = u_out * plain * np.conj(u_in)
         phase, _ = phase_from_elements(conjugated, plain)
@@ -585,7 +558,7 @@ def verify_spin_recurrence(
         recurrence = max(recurrence, float(abs(second - np.exp(4j * np.pi * spin))))
     fit = 0.0
     for q in list(qs) + [qs[-1] + 1]:
-        scalar, _ = rotation_sector_scalar(spin, engine, q)
+        scalar, _ = rotation_sector_scalar(spin, basis, q)
         fit = max(fit, float(abs(scalar - np.exp(2j * np.pi * spin * q * q))))
     return SpinRecurrenceReport(
         spin=spin,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from collections import deque
@@ -183,6 +184,7 @@ def write_rows_csv(path: Path, rows: Sequence[CaseRow], stable: bool) -> None:
 
 
 def write_summary(path: Path, results: Sequence[CriterionResult], seed: int, stable: bool) -> dict:
+    """Strict JSON: a margin with no finite value (an empty or crashed claim) is null."""
     payload = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "seed": seed,
@@ -192,7 +194,7 @@ def write_summary(path: Path, results: Sequence[CriterionResult], seed: int, sta
                 "claim_id": r.claim_id,
                 "label": r.label,
                 "status": "pass" if r.passed else "fail",
-                "margin": r.margin,
+                "margin": r.margin if math.isfinite(r.margin) else None,
                 "cases": len(r.rows),
                 "elapsed_s": 0.0 if stable else round(r.elapsed_s, 3),
                 "note": r.note,
@@ -200,7 +202,7 @@ def write_summary(path: Path, results: Sequence[CriterionResult], seed: int, sta
             for r in results
         ],
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return payload
 
 

@@ -51,8 +51,8 @@ class NoSignificantEntries(AnyonCircleError):
     """No probe matrix element passed the significance floor."""
 
 
-class ConvergenceFailure(AnyonCircleError):
-    """Iterative exponential-times-vector routine failed to converge."""
+class ResourceLimit(AnyonCircleError, ValueError):
+    """Requested size exceeds what a construction supports; raised before allocating."""
 
 
 class SectorEmpty(AnyonCircleError):

@@ -20,13 +20,13 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm as dense_expm
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     NoSignificantEntries,
     NotDiagonal,
     NotHermitian,
     PseudoInverseFailure,
+    ResourceLimit,
     SectorEmpty,
     WindowTooSmall,
     WrongClass,
@@ -35,18 +35,37 @@ from .modes import ModeWindow, OneParticleOperator
 
 _DENSE_DIM_LIMIT = 2048
 _FULL_SPACE_MAX_CUTOFF = 8
+_BASIS_MAX_CUTOFF = 12
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr).astype(np.int64)
 
 
+def occupation_mask(
+    window: ModeWindow, plus_modes: Iterable[int] = (), minus_modes: Iterable[int] = ()
+) -> int:
+    """Bitmask of the state with the given particle and antiparticle modes."""
+    mask = 0
+    for n in plus_modes:
+        if n < 0:
+            raise ValueError("particle modes must be >= 0")
+        mask |= 1 << window.slot(n)
+    for n in minus_modes:
+        if n >= 0:
+            raise ValueError("antiparticle modes must be < 0")
+        mask |= 1 << window.slot(n)
+    return mask
+
+
 class FockBasis:
     """Occupation-bitmask basis; the basis index of a state is its mask."""
 
     def __init__(self, window: ModeWindow):
-        if window.cutoff > 12:
-            raise ValueError("window cutoff beyond supported Fock dimensions")
+        if window.cutoff > _BASIS_MAX_CUTOFF:
+            raise ResourceLimit(
+                f"the full Fock basis is limited to M <= {_BASIS_MAX_CUTOFF}, got M={window.cutoff}"
+            )
         self.window = window
         self.dim = 1 << window.size
         self.minus_bits = (1 << window.n_minus) - 1
@@ -66,16 +85,7 @@ class FockBasis:
         return self.window.slot(mode)
 
     def mask_of(self, plus_modes: Iterable[int] = (), minus_modes: Iterable[int] = ()) -> int:
-        mask = 0
-        for n in plus_modes:
-            if n < 0:
-                raise ValueError("particle modes must be >= 0")
-            mask |= 1 << self.slot(n)
-        for n in minus_modes:
-            if n >= 0:
-                raise ValueError("antiparticle modes must be < 0")
-            mask |= 1 << self.slot(n)
-        return mask
+        return occupation_mask(self.window, plus_modes, minus_modes)
 
     def charge_of(self, mask: int) -> int:
         return int(self.charges[mask])
@@ -143,9 +153,19 @@ class FockOperator:
 
 def _guard_full_space(basis: FockBasis, what: str) -> None:
     if basis.window.cutoff > _FULL_SPACE_MAX_CUTOFF:
-        raise ValueError(
+        raise ResourceLimit(
             f"{what} on the full Fock space is limited to M <= {_FULL_SPACE_MAX_CUTOFF}; "
-            "use the charge-sector engine instead"
+            "exchange elements at larger M come from ExchangeContext minors"
+        )
+
+
+def require_dense_window(window: ModeWindow, what: str) -> None:
+    """Raise before any allocation when dense Fock matrices would be too large."""
+    dim = 1 << window.size
+    if dim > _DENSE_DIM_LIMIT:
+        raise ResourceLimit(
+            f"{what} are limited to Fock dimension {_DENSE_DIM_LIMIT}; "
+            f"M={window.cutoff} has dimension {dim}"
         )
 
 
@@ -339,40 +359,17 @@ def dgamma(a: OneParticleOperator, basis: FockBasis) -> FockOperator:
     return FockOperator(basis, mat, charge_shift=0)
 
 
-class LazyExponential:
-    """exp(i t dG(A)) applied by scaled-Taylor exponential-times-vector."""
-
-    def __init__(self, generator: FockOperator, t: float):
-        self.basis = generator.basis
-        self.generator = generator
-        self.t = t
-        self.charge_shift = 0
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.t == 0.0:
-            return np.array(x, copy=True)
-        return np.asarray(expm_multiply(1j * self.t * self.generator.matrix, x))
-
-    def dagger(self) -> "LazyExponential":
-        return LazyExponential(self.generator, -self.t)
-
-
 def implementer_exp(
     a: OneParticleOperator, t: float, basis: FockBasis, herm_tol: float = 1e-10
-) -> FockOperator | LazyExponential:
-    """Unitary exp(i t dG(A)) for Hermitian A.
-
-    Dense exponential for small spaces; an exponential-times-vector wrapper
-    beyond that, exposing the same ``apply``.
-    """
+) -> FockOperator:
+    """Unitary exp(i t dG(A)) for Hermitian A; dense, small spaces only."""
+    require_dense_window(basis.window, "dense exponentials")
     dev = np.max(np.abs(a.matrix - a.matrix.conj().T))
     if dev > herm_tol * max(1.0, float(np.max(np.abs(a.matrix)))):
         raise NotHermitian(f"generator deviates from Hermitian by {dev:.3e}")
     gen = dgamma(a, basis)
-    if basis.dim <= _DENSE_DIM_LIMIT:
-        mat = dense_expm(1j * t * gen.to_dense())
-        return FockOperator(basis, mat, charge_shift=0)
-    return LazyExponential(gen, t)
+    mat = dense_expm(1j * t * gen.to_dense())
+    return FockOperator(basis, mat, charge_shift=0)
 
 
 def _is_canonical_shift(v: OneParticleOperator, tol: float) -> bool:
@@ -490,8 +487,7 @@ def gamma_multiplicative(
     product of the two minor determinants.  Dense construction, small
     windows only.
     """
-    if basis.dim > _DENSE_DIM_LIMIT:
-        raise ValueError("gamma_multiplicative is a dense small-window construction")
+    require_dense_window(basis.window, "multiplicative second quantizations")
     n_minus = basis.window.n_minus
     n_plus = basis.window.n_plus
     dim = basis.dim
@@ -572,8 +568,7 @@ def ec_normal_ordered(z: ConjugateBlocks, basis: FockBasis) -> FockOperator:
     E_c(Z) = exp(Z+- a* b*) G_+(Z++) G_-(Z--^T) exp(-Z-+ b a); used to
     cross-validate the explicit charge-shift implementer on small windows.
     """
-    if basis.dim > _DENSE_DIM_LIMIT:
-        raise ValueError("ec_normal_ordered is a dense small-window construction")
+    require_dense_window(basis.window, "normal-ordered exponentials")
     create = _pair_quadratic(z.plus_minus, "create", basis)
     annihilate = _pair_quadratic(z.minus_plus, "annihilate", basis)
     middle = gamma_multiplicative(z.plus_plus, z.minus_minus.T, basis)
@@ -678,7 +673,7 @@ def truncation_safe_probes(
 
 
 def pattern_probes(
-    basis: FockBasis,
+    window: ModeWindow,
     charge: int,
     band: int = 2,
     margin: int = 2,
@@ -693,7 +688,7 @@ def pattern_probes(
     stability is what makes element tables comparable across a cutoff
     sweep; mask-ordered probes reshuffle patterns whenever M changes.
     """
-    if band + margin > basis.window.cutoff:
+    if band + margin > window.cutoff:
         raise WindowTooSmall(
             f"pattern band {band} with margin {margin} needs cutoff >= {band + margin}"
         )
@@ -708,7 +703,7 @@ def pattern_probes(
             for minus in itertools.combinations(minus_pool, n_minus):
                 energy = sum(plus) + sum(-n for n in minus)
                 key = tuple(sorted(plus) + sorted(-n for n in minus))
-                entries.append((energy, key, basis.mask_of(plus, minus)))
+                entries.append((energy, key, occupation_mask(window, plus, minus)))
     entries.sort(key=lambda item: (item[0], item[1]))
     picked = [mask for _, _, mask in entries[:cap]]
     if not picked:

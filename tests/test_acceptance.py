@@ -8,7 +8,14 @@ runtime (several minutes).
 
 import pytest
 
-from anyoncircle.acceptance import CLAIM_IDS, claim_checks
+from anyoncircle import acceptance, anyon
+from anyoncircle.acceptance import (
+    CLAIM_IDS,
+    ExchangeSweep,
+    check_exchange_phases,
+    claim_checks,
+    load_calibration,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +79,51 @@ def test_cone_tensor_exchange(results, capsys):
 
 def test_winding_algebra(results, capsys):
     _verdict(results, "winding-algebra", capsys)
+
+
+# ------------------------------------------------------- planted defects
+# Each test plants a defect in the code path a claim exists to check and
+# asserts that the claim then fails on the smoke schedule (one window,
+# thresholds scaled by 4), where the honest code passes.
+
+SMOKE_CUTOFFS = (4,)
+SMOKE_SCALE = 4.0
+
+
+def _smoke_commutation():
+    sweep = ExchangeSweep(load_calibration(), SMOKE_CUTOFFS, SMOKE_SCALE)
+    return check_exchange_phases(sweep)
+
+
+def _row_errors(result, pairing):
+    return {r.case_id: r.abs_error for r in result.rows if f"-{pairing}-" in r.case_id}
+
+
+def test_smoke_commutation_passes_without_defect():
+    assert _smoke_commutation().passed
+
+
+def test_commutation_fails_when_both_dressings_use_beta1(monkeypatch):
+    class OneSymbol(anyon.ExchangeContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.beta2 = self.beta1
+
+    monkeypatch.setattr(acceptance, "ExchangeContext", OneSymbol)
+    assert not _smoke_commutation().passed
+
+
+def test_commutation_fails_when_adjoint_core_uses_u2(monkeypatch):
+    clean = _smoke_commutation()
+    honest = anyon.dressing_unitary
+
+    def without_adjoint(matrix, t, window):
+        # every coupling in the tables is lambda <= 0 except the -lambda of
+        # the adjoint dressing D2*, so this builds U2 where U2* belongs
+        return honest(matrix, -abs(t), window)
+
+    monkeypatch.setattr(anyon, "dressing_unitary", without_adjoint)
+    planted = _smoke_commutation()
+    assert not planted.passed
+    assert _row_errors(planted, "product") == _row_errors(clean, "product")
+    assert _row_errors(planted, "adjoint") != _row_errors(clean, "adjoint")

@@ -20,10 +20,10 @@ from anyoncircle.anyon import (
 )
 from anyoncircle.blip import standard_mollifier
 from anyoncircle.covering import TWO_PI, CoveringInterval, CoveringPoint
-from anyoncircle.errors import OverlapError, WindowTooSmall
+from anyoncircle import fock
+from anyoncircle.errors import OverlapError, ResourceLimit, WindowTooSmall
 from anyoncircle.fock import FockBasis, implementer_exp, implementer_shift
 from anyoncircle.modes import ModeWindow, OneParticleOperator, shift_operator
-from anyoncircle.sector import SectorEngine
 
 # base geometry used throughout: projected separation well clear of both
 # mollifier widths, relative winding -1 in this order
@@ -110,11 +110,34 @@ def test_build_field_dense_limit():
         build_field(AnyonSpec(0.25, CoveringPoint(1.0), standard_mollifier(0.5)), ModeWindow(6))
 
 
+def _forbid_fock_basis(monkeypatch):
+    def refuse(self, window):
+        raise AssertionError(f"FockBasis built at M={window.cutoff}")
+
+    monkeypatch.setattr(fock.FockBasis, "__init__", refuse)
+
+
+def test_resource_limits_raise_before_allocating(monkeypatch):
+    spec = AnyonSpec(0.25, CoveringPoint(1.0), standard_mollifier(0.5))
+    with pytest.raises(ResourceLimit):
+        FockBasis(ModeWindow(13))
+    # M = 9 stays under the basis cap but past the full-space bilinear cap
+    for cutoff, build in ((9, fock.dgamma), (6, lambda a, b: implementer_exp(a, 0.5, b))):
+        window = ModeWindow(cutoff)
+        basis = FockBasis(window)
+        with pytest.raises(ResourceLimit):
+            build(OneParticleOperator(window, np.eye(window.size)), basis)
+    _forbid_fock_basis(monkeypatch)
+    with pytest.raises(ResourceLimit):
+        build_field(spec, ModeWindow(6))
+    assert issubclass(ResourceLimit, ValueError)
+
+
 def test_rotation_scalar_exact_at_two_pi():
-    engine = SectorEngine(ModeWindow(4))
+    basis = FockBasis(ModeWindow(4))
     for spin in (0.5, 0.25, -0.5):
         for q in (-2, 0, 3):
-            scalar, spread = rotation_sector_scalar(spin, engine, q)
+            scalar, spread = rotation_sector_scalar(spin, basis, q)
             assert spread == 0.0
             assert abs(scalar - np.exp(2j * np.pi * spin * q * q)) < 1e-12
 
@@ -272,6 +295,23 @@ def test_spin_recurrence_and_sector_fit():
         for q in report.charges:
             measured = report.conjugation_phases[q]
             assert abs(measured - report.predicted_phases[q]) < 1e-12
+
+
+def test_exchange_context_needs_no_fock_basis(monkeypatch):
+    # M = 16 is past the FockBasis cap; the minors need only probe bitmasks
+    _forbid_fock_basis(monkeypatch)
+    ctx = _context(16, v_cap=4, w_cap=4)
+    tables = ctx.measure([0.5, 0.25])
+    entry = tables[0.25][0]
+    assert {name: arr.shape for name, arr in entry.items()} == {
+        "fw": (4, 4), "rv": (4, 4), "afw": (4, 4), "arv": (4, 4)
+    }
+    phase, _ = ctx.exchange_phase(tables, 0.5, BASE1, BASE2)
+    predicted = predicted_phase(0.5, CoveringInterval(BASE1, EPS1), CoveringInterval(BASE2, EPS2))
+    assert abs(phase - predicted) < 1e-12
+    # past M = 30 the window no longer fits an int64 occupation mask
+    with pytest.raises(ResourceLimit):
+        _context(31)
 
 
 def test_exchange_context_guards():

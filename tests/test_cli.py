@@ -1,12 +1,18 @@
 """Exit codes, output schema, and reproducibility of the command line."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from anyoncircle.cli import CSV_HEADER, WorkStealingPool, _job_count, main
-from anyoncircle.acceptance import CLAIM_IDS
+from anyoncircle.cli import CSV_HEADER, WorkStealingPool, _job_count, main, write_summary
+from anyoncircle.acceptance import (
+    CLAIM_IDS,
+    CriterionResult,
+    check_schwinger_closed_form,
+    check_winding_algebra,
+)
 
 REDUCED_CFG = """\
 [campaign]
@@ -214,7 +220,7 @@ def test_report_reduced_campaign_reproducible(tmp_path, capsys):
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    summary = json.loads((out_a / "summary.json").read_text())
+    summary = _strict_json((out_a / "summary.json").read_text())
     assert summary["all_passed"] is True
     assert [c["claim_id"] for c in summary["claims"]] == list(CLAIM_IDS)
     assert all(c["status"] == "pass" for c in summary["claims"])
@@ -250,3 +256,50 @@ def test_report_rejects_unknown_config_key(tmp_path, capsys):
 def test_report_rejects_missing_file(tmp_path, capsys):
     assert main(["report", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_summary_is_strict_json_with_null_margins(tmp_path):
+    results = [
+        CriterionResult("finite", "finite margin", True, 0.25, [], 0.0),
+        CriterionResult("empty", "no bound enforced", False, math.inf, [], 0.0),
+        CriterionResult("crashed", "runner crashed", False, -math.inf, [], 0.0),
+    ]
+    path = tmp_path / "summary.json"
+    write_summary(path, results, seed=1, stable=True)
+    summary = _strict_json(path.read_text())
+    assert [c["margin"] for c in summary["claims"]] == [0.25, None, None]
+    assert summary["all_passed"] is False
+
+
+def test_empty_claims_fail():
+    # a claim that enforced no bound has checked nothing and must not pass
+    schwinger = check_schwinger_closed_form(samples=0)
+    winding = check_winding_algebra(pairs=0)
+    for result in (schwinger, winding):
+        assert not result.passed
+        assert result.margin == math.inf
+    assert check_winding_algebra(pairs=10).passed
+
+
+def test_report_with_empty_claims_writes_strict_summary(tmp_path, capsys):
+    text = REDUCED_CFG.format(scale=4.0)
+    text = text.replace("samples = 2", "samples = 0").replace("pairs = 200", "pairs = 0")
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "empty"
+    assert main(["report", "--config", str(cfg), "--output-dir", str(out),
+                 "--stable-timings"]) == 1
+    capsys.readouterr()
+    summary = _strict_json((out / "summary.json").read_text())
+    by_id = {c["claim_id"]: c for c in summary["claims"]}
+    for claim_id in ("prop-schwinger-blip", "winding-algebra"):
+        assert by_id[claim_id]["status"] == "fail"
+        assert by_id[claim_id]["margin"] is None
+    assert by_id["lemma-commutation"]["status"] == "pass"

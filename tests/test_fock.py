@@ -254,8 +254,8 @@ def test_truncation_safe_probes_stay_interior():
 
 
 def test_pattern_probes_are_cutoff_stable():
-    masks4 = pattern_probes(_basis(4), charge=0, band=2, cap=12)
-    masks6 = pattern_probes(_basis(6), charge=0, band=2, cap=12)
+    masks4 = pattern_probes(ModeWindow(4), charge=0, band=2, cap=12)
+    masks6 = pattern_probes(ModeWindow(6), charge=0, band=2, cap=12)
 
     def decode(basis, mask):
         return tuple(
@@ -269,10 +269,10 @@ def test_pattern_probes_are_cutoff_stable():
 
 def test_pattern_probes_guards():
     with pytest.raises(WindowTooSmall):
-        pattern_probes(_basis(3), charge=0, band=2, margin=2)
+        pattern_probes(ModeWindow(3), charge=0, band=2, margin=2)
     with pytest.raises(NoSignificantEntries):
-        pattern_probes(_basis(6), charge=5, band=2)
-    assert len(pattern_probes(_basis(5), charge=1, band=2, cap=3)) == 3
+        pattern_probes(ModeWindow(6), charge=5, band=2)
+    assert len(pattern_probes(ModeWindow(5), charge=1, band=2, cap=3)) == 3
 
 
 def test_phase_from_elements_floor_and_errors():
@@ -288,8 +288,8 @@ def test_phase_from_elements_floor_and_errors():
 def test_measure_exchange_phase_identical_operators():
     basis = _basis(3)
     g = implementer_shift(shift_operator(basis.window), basis)
-    v_masks = pattern_probes(basis, charge=0, band=1, cap=4)
-    w_masks = pattern_probes(basis, charge=2, band=1, cap=4)
+    v_masks = pattern_probes(basis.window, charge=0, band=1, cap=4)
+    w_masks = pattern_probes(basis.window, charge=2, band=1, cap=4)
     phase, dev = measure_exchange_phase(g, g, v_masks, w_masks, basis)
     assert phase == pytest.approx(1.0)
     assert dev < 1e-13
@@ -302,8 +302,8 @@ def test_measure_exchange_phase_of_rotated_shifts():
     om1, om2 = 0.9, 2.3
     x = _shifted_implementer(basis, om1)
     y = _shifted_implementer(basis, om2)
-    v_masks = pattern_probes(basis, charge=0, band=1, cap=6)
-    w_masks = pattern_probes(basis, charge=2, band=1, cap=6)
+    v_masks = pattern_probes(basis.window, charge=0, band=1, cap=6)
+    w_masks = pattern_probes(basis.window, charge=2, band=1, cap=6)
     phase, dev = measure_exchange_phase(x, y, v_masks, w_masks, basis)
     assert phase == pytest.approx(np.exp(-1j * (om1 - om2)), abs=1e-12)
     assert dev < 1e-12
