@@ -61,13 +61,6 @@ def test_dressing_minors_match_dense_blocks(cutoff, charge, seed, t):
     assert _dressing_pin_error(window, matrix, t, charge) < 1e-12
 
 
-def test_shift_minors_match_dense_blocks():
-    for cutoff in (2, 3):
-        window = ModeWindow(cutoff)
-        for charge in range(-cutoff, cutoff + 1):
-            assert _shift_pin_error(window, charge) == 0.0
-
-
 def test_shift_gauge_alternates_with_charge():
     # the shift implementer is c*_(-M) Lambda(V) up to (-1)^(M+q) on sector q
     for cutoff in (2, 3):

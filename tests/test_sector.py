@@ -1,18 +1,18 @@
-"""Charge-sector engine against the dense full-space constructions."""
+"""Charge-sector blocks of the Fock constructions against the dense full space."""
 
 import numpy as np
-import pytest
-import scipy.linalg as la
+import scipy.sparse as sp
 
-from anyoncircle.errors import SectorEmpty
-from anyoncircle.fock import FockBasis, dgamma, implementer_shift
-from anyoncircle.modes import ModeWindow, OneParticleOperator, shift_operator
-from anyoncircle.sector import (
-    SectorEngine,
-    SectorMatrixCache,
-    chebyshev_expi_apply,
-    subset_sum_bounds,
+from anyoncircle.anyon import rotation_rep, rotation_sector_scalar
+from anyoncircle.exterior import shift_sign, wedge_elements
+from anyoncircle.fock import (
+    FockBasis,
+    dgamma,
+    implementer_shift,
+    probe_matrix,
+    psi_bilinear_coo,
 )
+from anyoncircle.modes import ModeWindow, OneParticleOperator, shift_operator
 
 
 def _random_hermitian(size, seed):
@@ -30,141 +30,69 @@ def _dense_sector(window, matrix, charge):
 
 def test_dgamma_csr_matches_dense_restriction():
     w = ModeWindow(3)
-    engine = SectorEngine(w)
+    basis = FockBasis(w)
     a = _random_hermitian(w.size, seed=3)
     for q in (-1, 0, 2):
+        masks = basis.sector_masks(q)
+        index_of = np.full(basis.dim, -1, dtype=np.int64)
+        index_of[masks] = np.arange(masks.size)
+        rows, cols, data = psi_bilinear_coo(masks, a, w, index_of=index_of)
+        sparse = sp.csr_matrix((data, (rows, cols)), shape=(masks.size, masks.size)).toarray()
         dense = _dense_sector(w, a, q)
-        sparse = engine.dgamma_csr(a, q).toarray()
         assert np.max(np.abs(dense - sparse)) < 1e-13
 
 
-def test_chebyshev_matches_dense_exponential():
-    w = ModeWindow(3)
-    engine = SectorEngine(w)
-    a = _random_hermitian(w.size, seed=7)
-    q, t = 0, 0.83
-    n = engine.sector_dim(q)
-    rng = np.random.default_rng(11)
-    block = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    via_engine = engine.expi_dgamma_apply(a, t, q, block)
-    dense = la.expm(1j * t * _dense_sector(w, a, q)) @ block
-    assert np.max(np.abs(via_engine - dense)) < 1e-10
-
-
-def test_multi_t_sweep_is_bitwise_single_t():
-    w = ModeWindow(3)
-    engine = SectorEngine(w)
-    a = _random_hermitian(w.size, seed=13)
-    q = 1
-    n = engine.sector_dim(q)
-    rng = np.random.default_rng(17)
-    block = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    ts = [0.4, 0.0, -1.3, 0.4]
-    shared = engine.expi_dgamma_multi_apply(a, ts, q, block)
-    for t, out in zip(ts, shared):
-        single = engine.expi_dgamma_apply(a, t, q, block)
-        assert np.max(np.abs(out - single)) == 0.0
-
-
-def test_chebyshev_zero_time_and_constant_generator():
-    w = ModeWindow(2)
-    engine = SectorEngine(w)
-    a = _random_hermitian(w.size, seed=19)
-    n = engine.sector_dim(0)
-    block = np.eye(n, dtype=complex)
-    assert np.max(np.abs(engine.expi_dgamma_apply(a, 0.0, 0, block) - block)) == 0.0
-    # constant diagonal generator: sector radius collapses to a pure phase
-    c = 0.77 * np.eye(w.size, dtype=complex)
-    out = engine.expi_dgamma_apply(c, 1.0, 1, np.eye(engine.sector_dim(1), dtype=complex))
-    dense = la.expm(1j * _dense_sector(w, c, 1))
-    assert np.max(np.abs(out - dense)) < 1e-12
-
-
-def test_chebyshev_apply_direct_entry_point():
-    rng = np.random.default_rng(23)
-    h = _random_hermitian(6, seed=29)
-    emin, emax = np.linalg.eigvalsh(h)[[0, -1]]
-    block = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-    import scipy.sparse as sp
-
-    out = chebyshev_expi_apply(sp.csr_matrix(h), 1.9, float(emin), float(emax), block)
-    assert np.max(np.abs(out - la.expm(1.9j * h) @ block)) < 1e-10
-
-
-def test_subset_sum_bounds_are_exact_sector_extremes():
-    w = ModeWindow(3)
-    a = _random_hermitian(w.size, seed=31)
-    for q in (-2, 0, 1):
-        lo, hi = subset_sum_bounds(a, w, q)
-        eigs = np.linalg.eigvalsh(_dense_sector(w, a, q))
-        assert eigs[0] == pytest.approx(lo, abs=1e-10)
-        assert eigs[-1] == pytest.approx(hi, abs=1e-10)
-    with pytest.raises(SectorEmpty):
-        subset_sum_bounds(a, w, w.n_plus + 1)
-
-
 def test_shift_apply_matches_full_implementer_blocks():
-    w = ModeWindow(3)
-    engine = SectorEngine(w)
-    basis = FockBasis(w)
-    g = implementer_shift(shift_operator(w), basis).to_dense()
-    for q in (-1, 0, 1):
-        src = basis.sector_masks(q)
-        dst = basis.sector_masks(q + 1)
-        block = g[np.ix_(dst, src)]
-        via_engine = engine.shift_apply(np.eye(src.size, dtype=complex), q)
-        assert np.max(np.abs(via_engine - block)) == 0.0
-        adj = engine.shift_dagger_apply(np.eye(dst.size, dtype=complex), q + 1)
-        assert np.max(np.abs(adj - block.conj().T)) == 0.0
+    for cutoff in (2, 3):
+        w = ModeWindow(cutoff)
+        basis = FockBasis(w)
+        g = implementer_shift(shift_operator(w), basis)
+        forward, adjoint = g.to_dense(), g.dagger().to_dense()
+        for q in range(-cutoff, cutoff + 1):
+            src = basis.sector_masks(q)
+            dst = basis.sector_masks(q + 1)
+            via_minors = shift_sign(w, q) * wedge_elements(
+                shift_operator(w).matrix, dst, src, w, creations=1
+            )
+            assert np.max(np.abs(via_minors - forward[np.ix_(dst, src)])) == 0.0
+            assert np.max(np.abs(via_minors.conj().T - adjoint[np.ix_(src, dst)])) == 0.0
 
 
 def test_shift_apply_vector_shape():
+    # one source state gives one column over the target sector
     w = ModeWindow(2)
-    engine = SectorEngine(w)
-    vec = np.ones(engine.sector_dim(0), dtype=complex)
-    out = engine.shift_apply(vec, 0)
-    assert out.shape == (engine.sector_dim(1),)
+    basis = FockBasis(w)
+    src = basis.sector_masks(0)[:1]
+    dst = basis.sector_masks(1)
+    out = wedge_elements(shift_operator(w).matrix, dst, src, w, creations=1)
+    assert out.shape == (dst.size, 1)
 
 
 def test_diagonal_apply_uses_sector_theta():
     w = ModeWindow(3)
-    engine = SectorEngine(w)
     basis = FockBasis(w)
-    q = 1
+    q, spin, omega = 1, 0.3, 0.61
     masks = basis.sector_masks(q)
-    omega = 0.61
-    block = np.eye(masks.size, dtype=complex)
-    out = engine.diagonal_apply(block, q, lambda th: np.exp(-1j * omega * th))
-    expected = np.exp(-1j * omega * basis.theta[masks].astype(float))
-    assert np.max(np.abs(np.diag(out) - expected)) < 1e-14
+    diag = np.diag(rotation_rep(omega, spin, basis).to_dense()[np.ix_(masks, masks)])
+    expected = np.exp(1j * spin * omega * q * q) * np.exp(-1j * omega * basis.theta[masks])
+    assert np.max(np.abs(diag - expected)) < 1e-14
+    scalar, spread = rotation_sector_scalar(spin, basis, q, omega)
+    assert abs(scalar - diag[0]) < 1e-14
+    assert abs(spread - np.max(np.abs(diag - diag[0]))) < 1e-14
+    assert spread > 0.1
 
 
 def test_lift_restrict_roundtrip_and_positions():
     w = ModeWindow(2)
-    engine = SectorEngine(w)
+    basis = FockBasis(w)
     q = -1
-    masks = engine.sector_masks(q)
+    masks = basis.sector_masks(q)
     rng = np.random.default_rng(37)
     block = rng.normal(size=(masks.size, 2)).astype(complex)
-    lifted = engine.lift(q, block)
-    assert np.max(np.abs(engine.restrict(q, lifted) - block)) == 0.0
-    assert lifted.shape == (engine.dim, 2)
-    pos = engine.positions(masks[::-1], q)
-    assert list(pos) == list(range(masks.size))[::-1]
-    assert engine.local_index(int(masks[3])) == 3
-
-
-def test_matrix_cache_counts_and_evicts():
-    w = ModeWindow(2)
-    engine = SectorEngine(w)
-    cache = SectorMatrixCache(engine, capacity=2)
-    a = _random_hermitian(w.size, seed=41)
-    b = _random_hermitian(w.size, seed=43)
-    first = cache.get("a", a, 0)
-    assert cache.get("a", a, 0) is first
-    assert (cache.hits, cache.misses) == (1, 1)
-    cache.get("b", b, 0)
-    cache.get("a", a, 1)  # evicts ("a", 0), capacity 2
-    assert (cache.hits, cache.misses) == (1, 3)
-    assert cache.get("a", a, 0) is not first
-    assert cache.misses == 4
+    lifted = probe_matrix(basis, masks) @ block
+    assert np.max(np.abs(lifted[masks] - block)) == 0.0
+    assert lifted.shape == (basis.dim, 2)
+    # minor rows follow the order the states are given in: Lambda(1) from
+    # ascending to reversed states is the reversal permutation
+    reversal = wedge_elements(np.eye(w.size), masks[::-1], masks, w)
+    assert np.array_equal(reversal, np.eye(masks.size)[::-1])
