@@ -17,10 +17,9 @@ import json
 import math
 import os
 import sys
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from threading import Lock, Thread
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,62 +68,32 @@ CSV_HEADER = (
 # ------------------------------------------------------------ worker pool
 
 
-class WorkStealingPool:
-    """Fixed worker threads over per-worker deques with tail stealing.
+def run_tasks(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
+    """Run the tasks on ``jobs`` threads and return their results in order.
 
-    Tasks are dealt round-robin at submit time; a worker that drains its
-    own deque steals from the tail of the fullest other one.  Results land
-    in slots indexed by submission order, so the returned list never
-    depends on scheduling.  The first stored exception is re-raised after
-    every worker has stopped.
+    With more than one job every task runs even when another raises; the
+    first error in submission order is re-raised once all have finished.
+    One job runs the tasks in the calling thread, in order.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if jobs == 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        outcomes = list(pool.map(_capture, tasks))
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in outcomes]
 
-    def __init__(self, jobs: int):
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        self.jobs = jobs
 
-    def run(self, tasks: Sequence[Callable[[], object]]) -> list:
-        results: list = [None] * len(tasks)
-        if self.jobs == 1:
-            for idx, task in enumerate(tasks):
-                results[idx] = task()
-            return results
-        queues = [deque() for _ in range(self.jobs)]
-        for idx, task in enumerate(tasks):
-            queues[idx % self.jobs].append((idx, task))
-        lock = Lock()
-        errors: list[BaseException] = []
-
-        def take(own: int):
-            with lock:
-                if queues[own]:
-                    return queues[own].popleft()
-                donor = max(range(self.jobs), key=lambda j: len(queues[j]))
-                if queues[donor]:
-                    return queues[donor].pop()
-            return None
-
-        def work(own: int) -> None:
-            while True:
-                item = take(own)
-                if item is None:
-                    return
-                idx, task = item
-                try:
-                    results[idx] = task()
-                except BaseException as exc:
-                    with lock:
-                        errors.append(exc)
-
-        threads = [Thread(target=work, args=(k,)) for k in range(self.jobs)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        return results
+def _capture(task: Callable[[], object]) -> tuple[object, BaseException | None]:
+    # map() cancels the tasks not yet started once a result raises, so the
+    # error is carried as a value and re-raised by run_tasks
+    try:
+        return task(), None
+    except BaseException as exc:
+        return None, exc
 
 
 def _job_count(flag: int | None) -> int:
@@ -351,8 +320,8 @@ def cmd_report(args) -> int:
 
         return task
 
-    pool = WorkStealingPool(_job_count(args.jobs))
-    results = pool.run([make_task(cid, run) for cid, run in checks])
+    tasks = [make_task(cid, run) for cid, run in checks]
+    results = run_tasks(tasks, _job_count(args.jobs))
     payload = write_summary(out_dir / "summary.json", results, campaign.seed, stable)
     for res in results:
         _print_result(res)

@@ -203,28 +203,6 @@ def charge_operator(basis: FockBasis) -> FockOperator:
     return FockOperator(basis, sp.diags(diag).tocsr(), charge_shift=0)
 
 
-def free_field(phi: np.ndarray, basis: FockBasis) -> FockOperator:
-    """phi(f) = a*(f_plus) + b(conj f_minus), linear in the window vector f.
-
-    In modes: sum_(n>=0) f_n a*_n + sum_(n<0) f_n b_n; raises charge by one.
-    """
-    _guard_full_space(basis, "free field construction")
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (basis.window.size,):
-        raise ValueError("mode vector must have window size")
-    total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for n in basis.window.modes:
-        c = phi[basis.slot(int(n))]
-        if c == 0:
-            continue
-        op = _elementary_annihilator(basis, basis.slot(int(n)))
-        if n >= 0:
-            total = total + c * op.conj().T.tocsr()
-        else:
-            total = total + c * op
-    return FockOperator(basis, total.tocsr(), charge_shift=+1)
-
-
 def second_quantize_diagonal(
     u: OneParticleOperator, basis: FockBasis, tol: float = 1e-12
 ) -> FockOperator:

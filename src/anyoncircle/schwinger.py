@@ -13,7 +13,6 @@ the closed form base(omega1 - omega2) - pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,21 +70,3 @@ def schwinger_blip_closed_form(
             f"{TWO_PI - eps1 - eps2:.6f})"
         )
     return d - math.pi
-
-
-@dataclass(frozen=True)
-class SchwingerResult:
-    trace_value: complex
-    quadrature_value: complex
-    antisymmetrized_value: complex
-    closed_form_value: float | None
-
-    @property
-    def trace_vs_quadrature(self) -> float:
-        return abs(self.trace_value - self.quadrature_value)
-
-    @property
-    def quadrature_vs_closed_form(self) -> float:
-        if self.closed_form_value is None:
-            return math.nan
-        return abs(self.quadrature_value - self.closed_form_value)

@@ -28,6 +28,53 @@ def test_mollifier_epsilon_range():
         standard_mollifier(math.pi / 2)
 
 
+TAIL_EPSILONS = (0.3, 0.35, 0.45, 0.65, 0.70)
+
+
+def _tail_points(eps):
+    # interior spread plus points within 1e-3 of both support ends; 0.2107
+    # at eps = 0.35 is where adaptive quad was furthest off (3e-13)
+    edges = [eps - 1e-3, eps - 1e-4, -eps + 1e-3, -eps + 1e-4, 0.2107]
+    return np.concatenate([np.linspace(-eps, eps, 19)[1:-1], edges])
+
+
+@pytest.mark.parametrize("eps", TAIL_EPSILONS)
+def test_tail_integral_matches_high_precision_reference(eps):
+    mpmath = pytest.importorskip("mpmath")
+    chi = standard_mollifier(eps)
+    points = _tail_points(eps)
+    got = chi.tail_integral(points)
+    with mpmath.workdps(30):
+        e = mpmath.mpf(eps)
+        norm = mpmath.quad(lambda t: mpmath.exp(-1 / (1 - t * t)), [-1, 0, 1])
+
+        def bump(x):
+            return mpmath.exp(-1 / (1 - (x / e) ** 2)) / (norm * e)
+
+        ref = [float(mpmath.quad(bump, [mpmath.mpf(float(a)), e])) for a in points]
+    assert np.max(np.abs(got - np.array(ref))) < 1e-14
+
+
+@pytest.mark.parametrize("eps", TAIL_EPSILONS)
+def test_tail_integral_symmetry_clamps_and_scalar(eps):
+    chi = standard_mollifier(eps)
+    points = _tail_points(eps)
+    assert np.max(np.abs(chi.tail_integral(points) + chi.tail_integral(-points) - 1.0)) < 1e-14
+    assert chi.tail_integral(np.array([-2 * eps, -eps, eps, 2 * eps])).tolist() == [1, 1, 0, 0]
+    for a in (-eps, 0.5 * eps, eps):
+        assert type(chi.tail_integral(a)) is float
+
+
+def test_tail_integral_blocks_match_single_points():
+    # more interior points than one block holds: every block boundary must
+    # give what the point gives on its own
+    chi = standard_mollifier(0.4)
+    points = np.linspace(-0.5, 0.5, 3001)
+    whole = chi.tail_integral(points)
+    for idx in (0, 301, 1324, 1325, 2348, 2349, 2699, 3000):
+        assert whole[idx] == pytest.approx(chi.tail_integral(float(points[idx])), abs=1e-15)
+
+
 def test_blip_linear_away_from_jump():
     chi = standard_mollifier(0.4)
     b = blip(chi, ModeWindow(8))

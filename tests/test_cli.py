@@ -2,11 +2,12 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
-from anyoncircle.cli import CSV_HEADER, WorkStealingPool, _job_count, main, write_summary
+from anyoncircle.cli import CSV_HEADER, _job_count, main, run_tasks, write_summary
 from anyoncircle.acceptance import (
     CLAIM_IDS,
     CriterionResult,
@@ -56,29 +57,33 @@ def _write_cfg(tmp_path: Path, scale: float) -> Path:
 
 def test_pool_preserves_submission_order():
     tasks = [(lambda k=k: k * k) for k in range(23)]
-    assert WorkStealingPool(4).run(tasks) == [k * k for k in range(23)]
-    assert WorkStealingPool(1).run(tasks) == [k * k for k in range(23)]
+    assert run_tasks(tasks, 4) == [k * k for k in range(23)]
+    assert run_tasks(tasks, 1) == [k * k for k in range(23)]
 
 
 def test_pool_runs_remaining_tasks_after_failure():
+    # the sleeps keep later tasks queued when the first one fails, so a pool
+    # that cancels pending work on the first error would drop them
     seen = []
 
     def ok(k):
+        time.sleep(0.01)
         seen.append(k)
         return k
 
-    def boom():
-        raise RuntimeError("task failed")
+    def boom(msg):
+        raise RuntimeError(msg)
 
-    tasks = [lambda: ok(0), boom, lambda: ok(2), lambda: ok(3)]
-    with pytest.raises(RuntimeError):
-        WorkStealingPool(2).run(tasks)
-    assert sorted(seen) == [0, 2, 3]
+    tasks = [lambda: boom("first"), lambda: ok(1), lambda: boom("second")]
+    tasks += [(lambda k=k: ok(k)) for k in range(3, 8)]
+    with pytest.raises(RuntimeError, match="first"):
+        run_tasks(tasks, 2)
+    assert sorted(seen) == [1, 3, 4, 5, 6, 7]
 
 
 def test_pool_rejects_zero_jobs():
     with pytest.raises(ValueError):
-        WorkStealingPool(0)
+        run_tasks([], 0)
 
 
 def test_job_count_precedence(monkeypatch):
