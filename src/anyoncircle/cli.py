@@ -48,7 +48,7 @@ from .cones import (
     GeneralizedCone,
     TestFunctionSpace,
     cones_disjoint,
-    cones_overlap_sampled,
+    cones_separated,
     fermi_exchange_elements,
     tensor_exchange_from_parts,
 )
@@ -568,11 +568,9 @@ def cmd_cones(args) -> int:
     for pair in pairs:
         cone1, cone2 = pair["cone1"], pair["cone2"]
         disjoint = cones_disjoint(cone1, cone2)
-        sampled = cones_overlap_sampled(cone1, cone2)
         expected = pair["expect"] == "disjoint"
-        # sampling only ever certifies overlap, so it can contradict a
-        # disjoint verdict but never confirm one
-        ok = disjoint == expected and not (sampled and disjoint)
+        # the LP verdict must match the separating-axis predicate both ways
+        ok = disjoint == expected and disjoint == cones_separated(cone1, cone2)
         parts = [f"pair {pair['name']:<16} disjoint={disjoint} expected={expected}"]
         if disjoint and projections_disjoint(cone1.directions, cone2.directions):
             n_rel = relative_winding(cone1.directions, cone2.directions)

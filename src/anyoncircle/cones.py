@@ -6,7 +6,8 @@ interval of asymptotic directions of opening below pi; its projection to the
 plane is the Minkowski sum of the polygon with the closed ray cone spanned
 by the two boundary directions.  Disjointness of two such regions is an
 exact convex feasibility question, decided by linear programming, and
-cross-checked by a certifying point-sampling oracle.
+cross-checked by an exact separating-axis predicate that projects both
+regions on the normals of their hull edges and boundary rays.
 
 Test functions on the plane enter only through their Gram matrix and their
 support polygons, so the Fermi factor is represented exactly on a small
@@ -16,7 +17,6 @@ anticommutation relations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,71 +105,41 @@ def polygons_disjoint(poly1: np.ndarray, poly2: np.ndarray) -> bool:
     return not _intersection_lp(_validate_polygon(poly1), (), _validate_polygon(poly2), ())
 
 
-def _in_ray_cone(v: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> bool:
-    # opening below pi: v = a d1 + b d2 with a = -c2/cross12, b = c1/cross12,
-    # so membership is the two product sign tests below
-    cross12 = d1[0] * d2[1] - d1[1] * d2[0]
-    c1 = d1[0] * v[1] - d1[1] * v[0]
-    c2 = d2[0] * v[1] - d2[1] * v[0]
-    return bool(c1 * cross12 >= -1e-12 and c2 * cross12 <= 1e-12)
+def _dot(vectors: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    # elementwise, so that a ray against its own normal (-d_y, d_x) gives
+    # exactly 0, where a fused multiply-add would leave a rounding residue
+    return vectors[:, None, 0] * axes[None, :, 0] + vectors[:, None, 1] * axes[None, :, 1]
 
 
-def point_in_cone_sampled(point: np.ndarray, cone: GeneralizedCone, base_samples: int = 6) -> bool:
-    """Certified membership against sampled base points of the support hull.
-
-    True means the point provably lies in the cone (an explicit base point
-    witnesses it); False only means no witness at this sampling density.
-    """
-    d1, d2 = cone.boundary_rays()
+def _axes(cone: GeneralizedCone) -> np.ndarray:
+    """Unnormalised normals of every vertex-pair edge and both boundary rays."""
     poly = cone.polygon
-    n = poly.shape[0]
-    weight_grid = np.linspace(0.0, 1.0, base_samples)
-    if n == 1:
-        bases = poly
-    else:
-        combos = []
-        for idx in itertools.combinations(range(n), min(n, 3)):
-            for w in itertools.product(weight_grid, repeat=len(idx) - 1):
-                if sum(w) <= 1.0 + 1e-12:
-                    weights = np.array(list(w) + [1.0 - sum(w)])
-                    combos.append(weights @ poly[list(idx)])
-        bases = np.array(combos)
-    for p in bases:
-        if _in_ray_cone(point - p, d1, d2):
-            return True
-    return False
+    i, j = np.triu_indices(poly.shape[0], 1)
+    edges = np.vstack([poly[j] - poly[i], *cone.boundary_rays()])
+    return np.column_stack([-edges[:, 1], edges[:, 0]])
 
 
-def cones_overlap_sampled(
-    cone1: GeneralizedCone,
-    cone2: GeneralizedCone,
-    ray_extent: float = 40.0,
-    ray_samples: int = 25,
-    base_samples: int = 5,
-) -> bool:
-    """Point-sampling overlap certificate, independent of the LP route.
+def _projection(cone: GeneralizedCone, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval [lo, hi] of the region on each axis, infinite where a ray points."""
+    support = _dot(cone.polygon, axes)
+    reach = _dot(np.array(cone.boundary_rays()), axes)
+    lo = np.where((reach < 0).any(axis=0), -np.inf, support.min(axis=0))
+    hi = np.where((reach > 0).any(axis=0), np.inf, support.max(axis=0))
+    return lo, hi
 
-    Samples points of each cone explicitly (hull combinations plus ray
-    grid) and tests membership in the other; True is a certified overlap.
+
+def cones_separated(cone1: GeneralizedCone, cone2: GeneralizedCone) -> bool:
+    """Separating-axis disjointness of the two closed cone regions, without an LP.
+
+    Two closed convex polyhedra in the plane are disjoint exactly when their
+    projections on the normal of some edge of one of them are disjoint
+    intervals; the edges are hull edges and boundary rays, so the vertex-pair
+    and ray normals of both cones cover every candidate.
     """
-    t_grid = np.concatenate(([0.0], np.geomspace(1e-3, ray_extent, ray_samples)))
-    for a, b in ((cone1, cone2), (cone2, cone1)):
-        d1, d2 = a.boundary_rays()
-        poly = a.polygon
-        n = poly.shape[0]
-        weights = np.linspace(0.0, 1.0, base_samples)
-        base_points = [poly.mean(axis=0)]
-        base_points.extend(poly)
-        for i in range(n):
-            for w in weights:
-                base_points.append(w * poly[i] + (1 - w) * poly[(i + 1) % n])
-        for p in base_points:
-            for t1 in t_grid:
-                for t2 in t_grid:
-                    x = p + t1 * d1 + t2 * d2
-                    if point_in_cone_sampled(x, b, base_samples):
-                        return True
-    return False
+    axes = np.vstack([_axes(cone1), _axes(cone2)])
+    lo1, hi1 = _projection(cone1, axes)
+    lo2, hi2 = _projection(cone2, axes)
+    return bool(np.any((hi1 < lo2) | (hi2 < lo1)))
 
 
 @dataclass
@@ -281,20 +251,6 @@ def fermi_exchange_elements(
     forward = (first @ psi_j).toarray()
     reversed_ = (psi_j @ first).toarray()
     return forward, reversed_
-
-
-@dataclass
-class TensorField:
-    """F = Psi(f) tensor Phi, localized in a generalized cone."""
-
-    matrix: sp.spmatrix
-    localization: GeneralizedCone
-    label: str
-
-
-def tensor_field(i: int, space: TestFunctionSpace, circle_matrix, interval: CoveringInterval) -> TensorField:
-    mat = sp.kron(fermi_field(i, space), circle_matrix, format="csr")
-    return TensorField(mat, GeneralizedCone(space.polygons[i], interval), space.labels[i])
 
 
 def tensor_exchange_from_parts(

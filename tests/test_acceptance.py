@@ -8,10 +8,11 @@ runtime (several minutes).
 
 import pytest
 
-from anyoncircle import acceptance, anyon
+from anyoncircle import acceptance, anyon, cones
 from anyoncircle.acceptance import (
     CLAIM_IDS,
     ExchangeSweep,
+    check_cone_theorem,
     check_exchange_phases,
     claim_checks,
     load_calibration,
@@ -127,3 +128,31 @@ def test_commutation_fails_when_adjoint_core_uses_u2(monkeypatch):
     assert not planted.passed
     assert _row_errors(planted, "product") == _row_errors(clean, "product")
     assert _row_errors(planted, "adjoint") != _row_errors(clean, "adjoint")
+
+
+def _smoke_cones(scan_seed):
+    sweep = ExchangeSweep(load_calibration(), SMOKE_CUTOFFS, SMOKE_SCALE)
+    return check_cone_theorem(sweep, scan_seed=scan_seed)
+
+
+def _scan_disagreements(result):
+    return sum(r.abs_error for r in result.rows if r.case_id.startswith("cone-scan-"))
+
+
+def test_cones_pass_at_scan_seed_99():
+    # pairs 17 and 23 are LP overlaps that point sampling never witnessed
+    result = _smoke_cones(99)
+    assert result.passed
+    assert _scan_disagreements(result) == 0
+
+
+def test_cones_fail_when_lp_sees_one_ray(monkeypatch):
+    honest = cones._intersection_lp
+
+    def first_ray_only(poly1, rays1, poly2, rays2):
+        return honest(poly1, rays1[:1], poly2, rays2[:1])
+
+    monkeypatch.setattr(cones, "_intersection_lp", first_ray_only)
+    planted = _smoke_cones(acceptance.CONE_SCAN_SEED)
+    assert not planted.passed
+    assert _scan_disagreements(planted) > 0

@@ -170,9 +170,9 @@ def test_predicted_phase_special_values():
 
 def test_staged_tables_match_dense_same_arrangement():
     # the staged tables compute the dressings-last arrangement of the field
-    # products; against dense matrices of that same arrangement the sector
-    # route (sparse bilinears, Chebyshev exponentials, probe indexing) must
-    # agree to rounding
+    # products; against dense matrices of that same arrangement the minor
+    # route (gauge-signed minor determinants of the one-particle maps, probe
+    # indexing) must agree to rounding
     spin = 0.25
     lam = -math.sqrt(1.0 - 2.0 * spin)
     w = ModeWindow(4)
