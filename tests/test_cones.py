@@ -88,7 +88,7 @@ def test_disjointness_known_cases():
     )
 
 
-def _segment_cone(polygon, center, half_width=0.3):
+def _polygon_cone(polygon, center, half_width=0.3):
     return GeneralizedCone(np.asarray(polygon, dtype=float), CoveringInterval(center, half_width))
 
 
@@ -98,12 +98,12 @@ COLLINEAR = [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 # the upper ray of CoveringInterval(-0.3, 0.3) are exactly (0, 1)
 DEGENERATE_CASES = {
     "one-vertex": (_cone(0.0, 0.0, 0.0), _cone(1.0, 0.0, np.pi / 2), True),
-    "segment": (_segment_cone(SEGMENT, 0.0), _cone(0.0, 3.0, np.pi), False),
-    "collinear": (_segment_cone(COLLINEAR, 0.0), _cone(2.5, 0.0, np.pi / 2), True),
-    "collinear-overlap": (_segment_cone(COLLINEAR, 0.0), _cone(0.0, -1.0, 0.0), False),
+    "segment": (_polygon_cone(SEGMENT, 0.0), _cone(0.0, 3.0, np.pi), False),
+    "collinear": (_polygon_cone(COLLINEAR, 0.0), _cone(2.5, 0.0, np.pi / 2), True),
+    "collinear-overlap": (_polygon_cone(COLLINEAR, 0.0), _cone(0.0, -1.0, 0.0), False),
     "shared-ray": (_cone(0.0, 0.0, 0.3), _cone(0.0, 2.0, -0.3), False),
     "apex-on-ray": (_cone(0.0, 0.0, 0.3), _cone(0.0, 4.0, 1.5 * np.pi), False),
-    "point-off-segment": (_segment_cone(SEGMENT, 0.0), _cone(0.0, -1e-3, np.pi), True),
+    "point-off-segment": (_polygon_cone(SEGMENT, 0.0), _cone(0.0, -1e-3, np.pi), True),
 }
 
 
