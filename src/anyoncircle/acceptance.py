@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from threading import Lock
 from typing import Callable, Sequence

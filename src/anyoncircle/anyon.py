@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blip import Mollifier, blip
 from .covering import TWO_PI, CoveringInterval, CoveringPoint, project, relative_winding
-from .errors import SeparationViolation, WindowTooSmall
+from .errors import WindowTooSmall
 from .exterior import dressing_unitary, require_mask_window, shift_sign, wedge_elements
 from .fock import (
     FockBasis,
@@ -54,13 +54,10 @@ class AnyonSpec:
     spin: float
     omega: CoveringPoint
     mollifier: Mollifier
-    coupling_sign: int = -1
 
     def __post_init__(self):
         if self.spin > 0.5 + 1e-14:
             raise ValueError("spin must satisfy s <= 1/2")
-        if self.coupling_sign not in (-1, 1):
-            raise ValueError("coupling sign must be -1 or +1")
         if 1.0 - 2.0 * self.spin > 10.0:
             warnings.warn(
                 "coupling squared exceeds 10; truncation error grows with |lambda|",
@@ -70,8 +67,7 @@ class AnyonSpec:
     @property
     def coupling(self) -> float:
         """lambda with lambda^2 = 1 - 2s; zero at the endpoint s = 1/2."""
-        square = max(0.0, 1.0 - 2.0 * self.spin)
-        return float(self.coupling_sign * math.sqrt(square))
+        return _coupling(self.spin)
 
     @property
     def localization(self) -> CoveringInterval:
@@ -153,7 +149,7 @@ def build_field(spec: AnyonSpec, window: ModeWindow, grid_size: int | None = Non
         dressing = implementer_exp(OneParticleOperator(window, full_symbol), coupling, basis)
         dressing_mat = dressing.matrix
     mat = pre @ (shift_impl.matrix @ (u0q @ dressing_mat))
-    operator = FockOperator(basis, mat, charge_shift=+1)
+    operator = FockOperator(basis, mat)
     tail = coefficient_tail(spec.mollifier, window, grid)
     return AnyonField(spec, operator, spec.localization, tail)
 
@@ -168,7 +164,7 @@ def rotation_rep(omega: float, spin: float, basis: FockBasis) -> FockOperator:
     base, _ = project(omega)
     q = basis.charges.astype(float)
     diag = np.exp(1j * spin * omega * q * q) * np.exp(-1j * base * basis.theta)
-    return FockOperator(basis, sp.diags(diag).tocsr(), charge_shift=0)
+    return FockOperator(basis, sp.diags(diag).tocsr())
 
 
 def predicted_phase(
@@ -197,8 +193,13 @@ def aux_predicted_phase(
 
 
 def _coupling(spin: float) -> float:
-    """lambda of the default coupling sign; exactly zero at s = 1/2."""
-    return 0.0 if spin == 0.5 else -math.sqrt(1.0 - 2.0 * spin)
+    """lambda = -sqrt(1 - 2s), clamped to +0.0 from s = 1/2 up.
+
+    AnyonSpec admits spins up to 1e-14 above 1/2; they take the spin-1/2
+    coupling, and a -0.0 would print as -0 in spin-1/2 CSV rows.
+    """
+    square = 1.0 - 2.0 * spin
+    return -math.sqrt(square) if square > 0.0 else 0.0
 
 
 class ExchangeContext:
@@ -406,7 +407,6 @@ def verify_commutation(
     v_cap: int = 64,
     w_cap: int = 64,
     context: ExchangeContext | None = None,
-    tables: dict | None = None,
 ) -> CommutationReport:
     """Measure both exchange pairings of two fields and compare to prediction."""
     if abs(spec1.spin - spec2.spin) > 1e-14:
@@ -424,8 +424,7 @@ def verify_commutation(
             v_cap=v_cap,
             w_cap=w_cap,
         )
-    if tables is None:
-        tables = context.measure([spin])
+    tables = context.measure([spin])
     w1, w2 = spec1.omega.omega, spec2.omega.omega
     prod_phase, prod_dev = context.exchange_phase(tables, spin, w1, w2, "product")
     adj_phase, adj_dev = context.exchange_phase(tables, spin, w1, w2, "adjoint")
@@ -450,7 +449,6 @@ def verify_aux_commutation(
     v_cap: int = 64,
     w_cap: int = 64,
     context: ExchangeContext | None = None,
-    tables: dict | None = None,
 ) -> PairingResult:
     """Exchange relation of the auxiliary fields, before charge dressing."""
     spin = spec1.spin
@@ -465,8 +463,7 @@ def verify_aux_commutation(
             v_cap=v_cap,
             w_cap=w_cap,
         )
-    if tables is None:
-        tables = context.measure([spin])
+    tables = context.measure([spin])
     measured, dev = context.aux_exchange_phase(tables, spin)
     predicted = aux_predicted_phase(
         spin, spec1.omega.base, spec2.omega.base, context.eps1, context.eps2

@@ -32,7 +32,7 @@ from scipy.integrate import quad
 
 from .covering import TWO_PI
 from .errors import EpsilonOutOfRange
-from .modes import ModeWindow, PeriodicFunction, analyze, grid_points
+from .modes import ModeWindow, PeriodicFunction, analyze
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 # interior points per block: bounds each temporary at 96 * 1024 doubles
@@ -102,10 +102,6 @@ class BlipFunction:
     def evaluate(self, x: np.ndarray | float) -> np.ndarray | float:
         vals = _closed_form(self.mollifier, np.atleast_1d(np.asarray(x, dtype=float)))
         return vals if np.ndim(x) else float(vals[0])
-
-    def shifted_samples(self, delta: float, grid_size: int) -> np.ndarray:
-        """Samples of alpha_eps(x - delta) from the closed form (no interpolation)."""
-        return np.asarray(self.evaluate(grid_points(grid_size) - delta), dtype=float)
 
 
 def blip(

@@ -220,6 +220,13 @@ def _parse_int_tuple(text: str, where: str) -> tuple[int, ...]:
     return values
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a count >= 0, got {value}")
+    return value
+
+
 def load_campaign(path: Path) -> Campaign:
     parser = configparser.ConfigParser()
     try:
@@ -255,7 +262,7 @@ def load_campaign(path: Path) -> Campaign:
         exchange_threshold_scale=get(
             "exchange", "threshold_scale", float, base.exchange_threshold_scale
         ),
-        schwinger_samples=get("schwinger", "samples", int, base.schwinger_samples),
+        schwinger_samples=get("schwinger", "samples", _count, base.schwinger_samples),
         schwinger_grid=get("schwinger", "grid", int, base.schwinger_grid),
         schwinger_cutoffs=get(
             "schwinger", "cutoffs",
@@ -269,9 +276,9 @@ def load_campaign(path: Path) -> Campaign:
         recurrence_cutoff=get("recurrence", "cutoff", int, base.recurrence_cutoff),
         rotation_cutoff=get("rotation", "cutoff", int, base.rotation_cutoff),
         rotation_dense_cutoff=get("rotation", "dense_cutoff", int, base.rotation_dense_cutoff),
-        cone_scan_pairs=get("cones", "scan_pairs", int, base.cone_scan_pairs),
+        cone_scan_pairs=get("cones", "scan_pairs", _count, base.cone_scan_pairs),
         cone_scan_seed=get("cones", "scan_seed", int, base.cone_scan_seed),
-        winding_pairs=get("winding", "pairs", int, base.winding_pairs),
+        winding_pairs=get("winding", "pairs", _count, base.winding_pairs),
     )
     return Campaign(
         output_dir=get("campaign", "output_dir", str, "verification_out"),

@@ -23,19 +23,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .covering import CoveringInterval, CoveringPoint, projections_disjoint
-from .errors import DegenerateGeometry, UnknownTransformedFunction
+from .covering import CoveringInterval
+from .errors import DegenerateGeometry
 from .fock import phase_from_elements
 
 
 def direction_vector(mu: float) -> np.ndarray:
     """Unit direction n_mu = R(-mu) (0, 1) = (sin mu, cos mu)."""
     return np.array([np.sin(mu), np.cos(mu)])
-
-
-def rotation_matrix(omega: float) -> np.ndarray:
-    c, s = np.cos(omega), np.sin(omega)
-    return np.array([[c, -s], [s, c]])
 
 
 def _validate_polygon(polygon: np.ndarray) -> np.ndarray:
@@ -144,16 +139,11 @@ def cones_separated(cone1: GeneralizedCone, cone2: GeneralizedCone) -> bool:
 
 @dataclass
 class TestFunctionSpace:
-    """Abstract plane test functions: labels, Gram matrix, supports.
-
-    The conjugation map gives the coefficients of conj(f_i) in the span;
-    the default identity covers real test functions.
-    """
+    """Abstract real plane test functions: labels, Gram matrix, supports."""
 
     labels: list[str]
     gram: np.ndarray
     polygons: list[np.ndarray]
-    conj_map: np.ndarray | None = None
     _mode_vectors: np.ndarray = field(init=False, repr=False)
     _ladders: dict | None = field(default=None, init=False, repr=False)
 
@@ -178,9 +168,6 @@ class TestFunctionSpace:
                             f"disjoint supports {self.labels[i]}, {self.labels[j]} "
                             "require a vanishing Gram entry"
                         )
-        if self.conj_map is None:
-            self.conj_map = np.eye(k, dtype=complex)
-        self.conj_map = np.asarray(self.conj_map, dtype=complex)
         clipped = np.clip(eigvals, 0.0, None)
         self._mode_vectors = np.sqrt(clipped)[:, None] * eigvecs.conj().T
 
@@ -191,9 +178,6 @@ class TestFunctionSpace:
     @property
     def fock_dim(self) -> int:
         return 1 << self.size
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
 
     def _ladder(self, k: int) -> sp.csr_matrix:
         if self._ladders is None:
@@ -223,34 +207,19 @@ class TestFunctionSpace:
     def annihilator(self, i: int) -> sp.csr_matrix:
         return self.creator(i).conj().T.tocsr()
 
-    def conjugate_vector(self, i: int) -> np.ndarray:
-        return self.conj_map[:, i]
-
 
 def fermi_field(i: int, space: TestFunctionSpace) -> sp.csr_matrix:
-    """Psi(f_i) = c*(f_i) + c(conj f_i); self-adjoint for real test functions."""
-    conj_coeffs = space.conjugate_vector(i)
-    annihilate = sp.csr_matrix((space.fock_dim, space.fock_dim), dtype=complex)
-    for j, coeff in enumerate(conj_coeffs):
-        if coeff != 0:
-            annihilate = annihilate + np.conj(coeff) * space.annihilator(j)
-    return (space.creator(i) + annihilate).tocsr()
+    """Psi(f_i) = c*(f_i) + c(f_i), self-adjoint since f_i is real."""
+    return (space.creator(i) + space.annihilator(i)).tocsr()
 
 
 def fermi_exchange_elements(
-    space: TestFunctionSpace, i: int, j: int, adjoint: bool = False
+    space: TestFunctionSpace, i: int, j: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense element tables of Psi_i Psi_j against Psi_j Psi_i.
-
-    With adjoint=True the second ordering pairs the adjoint of field i:
-    Psi_i* Psi_j against Psi_j Psi_i*.
-    """
+    """Dense element tables of Psi_i Psi_j against Psi_j Psi_i."""
     psi_i = fermi_field(i, space)
     psi_j = fermi_field(j, space)
-    first = psi_i.conj().T.tocsr() if adjoint else psi_i
-    forward = (first @ psi_j).toarray()
-    reversed_ = (psi_j @ first).toarray()
-    return forward, reversed_
+    return (psi_i @ psi_j).toarray(), (psi_j @ psi_i).toarray()
 
 
 def tensor_exchange_from_parts(
@@ -268,61 +237,3 @@ def tensor_exchange_from_parts(
     fw = np.kron(fermi_forward.ravel(), circle_forward.ravel())
     rv = np.kron(fermi_reversed.ravel(), circle_reversed.ravel())
     return phase_from_elements(fw, rv, floor=floor)
-
-
-@dataclass(frozen=True)
-class EuclideanMotion:
-    """Plane motion x -> R(-omega) x + a, acting on cones and test labels.
-
-    Direction labels are clockwise from north (n_mu = R(-mu) e_y), so the
-    point action R(-omega) shifts every direction label by +omega; the
-    asymptotic interval of a cone then transforms the same way as the
-    circle localization interval it doubles as.
-    """
-
-    translation: np.ndarray
-    rotation: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
-
-    def apply_point(self, x: np.ndarray) -> np.ndarray:
-        return rotation_matrix(-self.rotation) @ np.asarray(x, dtype=float) + self.translation
-
-    def apply_polygon(self, polygon: np.ndarray) -> np.ndarray:
-        poly = _validate_polygon(polygon)
-        return poly @ rotation_matrix(-self.rotation).T + self.translation
-
-    def apply_interval(self, interval: CoveringInterval) -> CoveringInterval:
-        return CoveringInterval(
-            CoveringPoint(interval.center.omega + self.rotation), interval.half_width
-        )
-
-    def apply_cone(self, cone: GeneralizedCone) -> GeneralizedCone:
-        return GeneralizedCone(self.apply_polygon(cone.polygon), self.apply_interval(cone.directions))
-
-    def compose(self, inner: "EuclideanMotion") -> "EuclideanMotion":
-        """Motion equal to applying inner first, then this one."""
-        return EuclideanMotion(
-            rotation_matrix(-self.rotation) @ inner.translation + self.translation,
-            self.rotation + inner.rotation,
-        )
-
-
-def rep_e2(translation, rotation: float) -> EuclideanMotion:
-    return EuclideanMotion(np.asarray(translation, dtype=float), float(rotation))
-
-
-def transformed_label(space: TestFunctionSpace, i: int, motion: EuclideanMotion, tol: float = 1e-9) -> int:
-    """Index of the test function whose support is the transformed polygon.
-
-    The pullback representation moves supports by the Euclidean motion; the
-    moved function must already be a member of the space.
-    """
-    target = motion.apply_polygon(space.polygons[i])
-    for j, poly in enumerate(space.polygons):
-        if poly.shape == target.shape and np.max(np.abs(poly - target)) < tol:
-            return j
-    raise UnknownTransformedFunction(
-        f"no test function with the transformed support of {space.labels[i]}"
-    )

@@ -55,9 +55,6 @@ class CoveringPoint:
     def winding(self) -> int:
         return project(self.omega)[1]
 
-    def shifted(self, delta: float) -> "CoveringPoint":
-        return CoveringPoint(self.omega + delta)
-
 
 @dataclass(frozen=True)
 class CoveringInterval:
@@ -81,9 +78,6 @@ class CoveringInterval:
     @property
     def upper(self) -> float:
         return self.center.omega + self.half_width
-
-    def shifted(self, delta: float) -> "CoveringInterval":
-        return CoveringInterval(self.center.shifted(delta), self.half_width)
 
 
 def projections_disjoint(first: CoveringInterval, second: CoveringInterval) -> bool:

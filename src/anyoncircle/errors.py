@@ -19,10 +19,6 @@ class WindowMismatch(AnyonCircleError):
     """Operators built on different mode windows were combined."""
 
 
-class IllConditioned(AnyonCircleError):
-    """Singular values cluster at the rank-decision threshold."""
-
-
 class EpsilonOutOfRange(AnyonCircleError):
     """Mollifier width outside the open interval (0, pi/2)."""
 
@@ -65,7 +61,3 @@ class WindowTooSmall(AnyonCircleError):
 
 class DegenerateGeometry(AnyonCircleError):
     """Cone or polygon data is degenerate (empty hull, zero opening)."""
-
-
-class UnknownTransformedFunction(AnyonCircleError):
-    """Euclidean motion maps a test function outside the declared space."""

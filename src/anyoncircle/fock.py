@@ -13,7 +13,6 @@ The charge operator is Q = sum_(n>=0) a*_n a_n - sum_(n<0) b*_n b_n.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -87,9 +86,6 @@ class FockBasis:
     def mask_of(self, plus_modes: Iterable[int] = (), minus_modes: Iterable[int] = ()) -> int:
         return occupation_mask(self.window, plus_modes, minus_modes)
 
-    def charge_of(self, mask: int) -> int:
-        return int(self.charges[mask])
-
     def sector_masks(self, charge: int) -> np.ndarray:
         masks = np.nonzero(self.charges == charge)[0].astype(np.int64)
         if masks.size == 0:
@@ -107,11 +103,10 @@ class FockBasis:
 
 @dataclass
 class FockOperator:
-    """Linear operator on the truncated Fock space with declared charge grading."""
+    """Linear operator on the truncated Fock space."""
 
     basis: FockBasis
     matrix: sp.spmatrix | np.ndarray
-    charge_shift: int | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.matrix @ x)
@@ -120,23 +115,12 @@ class FockOperator:
         mat = self.matrix.conj().T
         if sp.issparse(mat):
             mat = mat.tocsr()
-        shift = None if self.charge_shift is None else -self.charge_shift
-        return FockOperator(self.basis, mat, shift)
+        return FockOperator(self.basis, mat)
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         if self.basis is not other.basis and self.basis.window != other.basis.window:
             raise ValueError("operators live on different Fock spaces")
-        shift = None
-        if self.charge_shift is not None and other.charge_shift is not None:
-            shift = self.charge_shift + other.charge_shift
-        return FockOperator(self.basis, self.matrix @ other.matrix, shift)
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        shift = self.charge_shift if self.charge_shift == other.charge_shift else None
-        return FockOperator(self.basis, self.matrix + other.matrix, shift)
-
-    def scale(self, c: complex) -> "FockOperator":
-        return FockOperator(self.basis, self.matrix * c, self.charge_shift)
+        return FockOperator(self.basis, self.matrix @ other.matrix)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray() if sp.issparse(self.matrix) else np.asarray(self.matrix)
@@ -190,17 +174,17 @@ def car_operators(basis: FockBasis) -> dict[tuple[str, int], FockOperator]:
         ann = _elementary_annihilator(basis, basis.slot(int(n)))
         cre = ann.conj().T.tocsr()
         if n >= 0:
-            ops[("a", int(n))] = FockOperator(basis, ann, charge_shift=-1)
-            ops[("a_dag", int(n))] = FockOperator(basis, cre, charge_shift=+1)
+            ops[("a", int(n))] = FockOperator(basis, ann)
+            ops[("a_dag", int(n))] = FockOperator(basis, cre)
         else:
-            ops[("b", int(n))] = FockOperator(basis, ann, charge_shift=+1)
-            ops[("b_dag", int(n))] = FockOperator(basis, cre, charge_shift=-1)
+            ops[("b", int(n))] = FockOperator(basis, ann)
+            ops[("b_dag", int(n))] = FockOperator(basis, cre)
     return ops
 
 
 def charge_operator(basis: FockBasis) -> FockOperator:
     diag = basis.charges.astype(complex)
-    return FockOperator(basis, sp.diags(diag).tocsr(), charge_shift=0)
+    return FockOperator(basis, sp.diags(diag).tocsr())
 
 
 def second_quantize_diagonal(
@@ -224,117 +208,29 @@ def second_quantize_diagonal(
         w = eig[j] if j >= basis.window.n_minus else np.conj(eig[j])
         occupied = ((masks >> j) & 1).astype(bool)
         phase[occupied] *= w
-    return FockOperator(basis, sp.diags(phase).tocsr(), charge_shift=0)
-
-
-def rotation_phases(basis: FockBasis, omega_base: float) -> np.ndarray:
-    """Diagonal of the second-quantized rotation at base angle omega_base."""
-    return np.exp(-1j * omega_base * basis.theta)
-
-
-def psi_bilinear_coo(
-    masks: np.ndarray,
-    matrix: np.ndarray,
-    window: ModeWindow,
-    index_of: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO triplets of the normal-ordered current sum_mn A[m,n] :c*_m c_n:.
-
-    ``masks`` lists the basis states acted on (a charge sector or the full
-    space); ``index_of`` maps a target mask to its row index (identity when
-    omitted).  Column indices are positions within ``masks``.
-
-    In the particle-hole convention a set minus bit is a hole (empty sea
-    mode), so the four blocks of A act differently on bits: plus-plus terms
-    hop a set bit, minus-minus terms hop with swapped roles and a sign from
-    normal ordering, and the mixed blocks create or annihilate a plus-minus
-    bit pair (charge is preserved throughout).  Slot order fixes the
-    Jordan-Wigner signs; two-slot terms compose the elementary signs through
-    the intermediate mask.
-    """
-    size = window.size
-    n_minus = window.n_minus
-    n_local = masks.size
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-
-    diag = np.zeros(n_local, dtype=complex)
-    for j in range(size):
-        occ = (masks >> j) & 1
-        sign = -1.0 if j < n_minus else 1.0
-        diag = diag + sign * matrix[j, j] * occ
-    local = np.arange(n_local, dtype=np.int64)
-    self_rows = masks if index_of is None else index_of[masks]
-    rows.append(self_rows.astype(np.int64))
-    cols.append(local)
-    data.append(diag)
-
-    cut = 1e-15 * max(1.0, float(np.max(np.abs(matrix))))
-    for jm in range(size):
-        minus_m = jm < n_minus
-        bit_m = np.int64(1) << jm
-        below_m = bit_m - 1
-        for jn in range(size):
-            if jm == jn:
-                continue
-            coef = matrix[jm, jn]
-            if abs(coef) <= cut:
-                continue
-            minus_n = jn < n_minus
-            bit_n = np.int64(1) << jn
-            below_n = bit_n - 1
-            if not minus_m and not minus_n:
-                # a*_m a_n: clear slot n, set slot m
-                sel = ((masks & bit_n) != 0) & ((masks & bit_m) == 0)
-                first_bit, first_below, second_below = bit_n, below_n, below_m
-                overall = coef
-            elif minus_m and minus_n:
-                # :c*_m c_n: = -b*_n b_m: clear slot m, set slot n
-                sel = ((masks & bit_m) != 0) & ((masks & bit_n) == 0)
-                first_bit, first_below, second_below = bit_m, below_m, below_n
-                overall = -coef
-            elif not minus_m and minus_n:
-                # a*_m b*_n: set slot n, then slot m
-                sel = ((masks & bit_n) == 0) & ((masks & bit_m) == 0)
-                first_bit, first_below, second_below = bit_n, below_n, below_m
-                overall = coef
-            else:
-                # b_m a_n: clear slot n, then slot m
-                sel = ((masks & bit_n) != 0) & ((masks & bit_m) != 0)
-                first_bit, first_below, second_below = bit_n, below_n, below_m
-                overall = coef
-            if not np.any(sel):
-                continue
-            src_local = np.nonzero(sel)[0]
-            m_sel = masks[src_local]
-            target = m_sel ^ bit_n ^ bit_m
-            sign_bits = (m_sel & first_below) ^ ((m_sel ^ first_bit) & second_below)
-            parity = _popcount(sign_bits) & 1
-            amp = overall * (1.0 - 2.0 * parity)
-            dst = target if index_of is None else index_of[target]
-            rows.append(dst.astype(np.int64))
-            cols.append(src_local)
-            data.append(amp)
-
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+    return FockOperator(basis, sp.diags(phase).tocsr())
 
 
 def dgamma(a: OneParticleOperator, basis: FockBasis) -> FockOperator:
     """Normal-ordered second-quantized bilinear of a one-particle operator.
 
-    dG(A) = sum A[m,n] psi*_m psi_n - sum_(n<0) A[n,n], so the vacuum
-    expectation vanishes and dG(identity) is the charge operator.  Commutes
-    with Q for every A (the bilinear is charge-neutral mode by mode).
+    dG(A) = sum A[m,n] psi*_m psi_n - tr A--, with psi_n = a_n for n >= 0
+    and psi_n = b*_n for n < 0; the trace is the normal-ordering constant of
+    the minus-minus block, so the vacuum expectation vanishes and
+    dG(identity) is the charge operator.
     """
-    _guard_full_space(basis, "bilinear construction")
-    masks = np.arange(basis.dim, dtype=np.int64)
-    rows, cols, data = psi_bilinear_coo(masks, a.matrix, basis.window)
-    mat = sp.coo_matrix(
-        (data, (rows.astype(np.int64), cols.astype(np.int64))),
-        shape=(basis.dim, basis.dim),
-    ).tocsr()
-    return FockOperator(basis, mat, charge_shift=0)
+    ops = car_operators(basis)
+    psi = [
+        ops[("a", int(n))].matrix if n >= 0 else ops[("b_dag", int(n))].matrix
+        for n in basis.window.modes
+    ]
+    total = -np.trace(a.minus_minus) * sp.identity(basis.dim, dtype=complex, format="csr")
+    for m, psi_m in enumerate(psi):
+        psi_m_star = psi_m.conj().T
+        for n, psi_n in enumerate(psi):
+            if a.matrix[m, n] != 0:
+                total = total + a.matrix[m, n] * (psi_m_star @ psi_n)
+    return FockOperator(basis, total.tocsr())
 
 
 def implementer_exp(
@@ -347,7 +243,7 @@ def implementer_exp(
         raise NotHermitian(f"generator deviates from Hermitian by {dev:.3e}")
     gen = dgamma(a, basis)
     mat = dense_expm(1j * t * gen.to_dense())
-    return FockOperator(basis, mat, charge_shift=0)
+    return FockOperator(basis, mat)
 
 
 def _is_canonical_shift(v: OneParticleOperator, tol: float) -> bool:
@@ -407,7 +303,7 @@ def implementer_shift(v: OneParticleOperator, basis: FockBasis, tol: float = 1e-
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(basis.dim, basis.dim),
     ).tocsr()
-    return FockOperator(basis, mat, charge_shift=+1)
+    return FockOperator(basis, mat)
 
 
 @dataclass(frozen=True)
@@ -511,7 +407,7 @@ def gamma_multiplicative(
                             row = (t_p << n_minus) | t_m
                             col = (s_p << n_minus) | s_m
                             out[row, col] += dm * dp
-    return FockOperator(basis, out, charge_shift=0)
+    return FockOperator(basis, out)
 
 
 def _pair_quadratic(
@@ -536,8 +432,7 @@ def _pair_quadratic(
                     continue
                 term = ops[("b", mode_m)].matrix @ ops[("a", mode_p)].matrix
             total = total + c * term
-    shift = +2 if kind == "create" else -2
-    return FockOperator(basis, total.tocsr(), charge_shift=shift)
+    return FockOperator(basis, total.tocsr())
 
 
 def ec_normal_ordered(z: ConjugateBlocks, basis: FockBasis) -> FockOperator:
@@ -552,7 +447,7 @@ def ec_normal_ordered(z: ConjugateBlocks, basis: FockBasis) -> FockOperator:
     middle = gamma_multiplicative(z.plus_plus, z.minus_minus.T, basis)
     left = dense_expm(create.to_dense())
     right = dense_expm(-annihilate.to_dense())
-    return FockOperator(basis, left @ middle.to_dense() @ right, charge_shift=None)
+    return FockOperator(basis, left @ middle.to_dense() @ right)
 
 
 def _kernel_unit_vector(block: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -605,7 +500,7 @@ def ec_route_implementer(v: OneParticleOperator, basis: FockBasis) -> FockOperat
         raise WrongClass("vacuum image vanished in the normal-ordered route")
     k = int(np.argmax(np.abs(vac_image)))
     phase = vac_image[k] / abs(vac_image[k])
-    return FockOperator(basis, raw / (norm * phase), charge_shift=+1)
+    return FockOperator(basis, raw / (norm * phase))
 
 
 def truncation_safe_probes(
@@ -717,23 +612,3 @@ def phase_from_elements(
     phase = med / abs(med)
     deviation = float(np.max(np.abs(ratios - phase)))
     return phase, deviation
-
-
-def measure_exchange_phase(
-    x_op,
-    y_op,
-    v_masks: Sequence[int],
-    w_masks: Sequence[int],
-    basis: FockBasis,
-    floor: float = 1e-10,
-) -> tuple[complex, float]:
-    """Exchange phase between two operator orderings on probe pairs.
-
-    Computes <w, X Y v> and <w, Y X v> over all probe pairs and returns the
-    unit-modulus median ratio with its maximal deviation.
-    """
-    pv = probe_matrix(basis, v_masks)
-    xy = x_op.apply(y_op.apply(pv))
-    yx = y_op.apply(x_op.apply(pv))
-    rows = np.asarray(list(w_masks), dtype=np.int64)
-    return phase_from_elements(xy[rows, :], yx[rows, :], floor=floor)

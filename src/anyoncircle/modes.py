@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .covering import TWO_PI
-from .errors import GridTooCoarse, IllConditioned, WindowMismatch
+from .errors import GridTooCoarse, WindowMismatch
 
 SQRT_TWO_PI = math.sqrt(TWO_PI)
 
@@ -234,9 +234,6 @@ class OneParticleOperator:
         m = self.window.n_minus
         return self.matrix[m:, m:]
 
-    def entry(self, mode_row: int, mode_col: int) -> complex:
-        return complex(self.matrix[self.window.slot(mode_row), self.window.slot(mode_col)])
-
     def dagger(self) -> "OneParticleOperator":
         return OneParticleOperator(self.window, self.matrix.conj().T)
 
@@ -269,13 +266,6 @@ def shift_operator(window: ModeWindow) -> OneParticleOperator:
     return OneParticleOperator(window, np.eye(window.size, k=-1, dtype=complex))
 
 
-def rotate_one_particle(op: OneParticleOperator, omega: float) -> OneParticleOperator:
-    """Conjugate by the rotation U(omega) = diag(exp(-i n omega))."""
-    modes = op.window.modes
-    phases = np.exp(-1j * modes * omega)
-    return OneParticleOperator(op.window, op.matrix * np.outer(phases, phases.conj()))
-
-
 def hs_offdiag_norm_sq(op: OneParticleOperator) -> float:
     """Sum of squared Hilbert-Schmidt norms of the off-diagonal blocks.
 
@@ -287,59 +277,3 @@ def hs_offdiag_norm_sq(op: OneParticleOperator) -> float:
     a_pm = op.plus_minus
     a_mp = op.minus_plus
     return float(np.sum(np.abs(a_pm) ** 2) + np.sum(np.abs(a_mp) ** 2))
-
-
-def windowed_mode_sum(coefficients: Callable[[int], complex], cutoff: int) -> float:
-    """Window-weighted analogue of sum_n n |f_n|^2 for a multiplication operator.
-
-    For multiplication by f on the window {-M..M} the off-diagonal HS mass is
-    (1/2 pi) * sum_k w(k) (|f_k|^2 + |f_-k|^2) with w(k) = min(k, 2M+1-k) for
-    1 <= k <= 2M.  Serves as the independent series route for convergence and
-    divergence checks.
-    """
-    total = 0.0
-    for k in range(1, 2 * cutoff + 1):
-        w = min(k, 2 * cutoff + 1 - k)
-        total += w * (abs(coefficients(k)) ** 2 + abs(coefficients(-k)) ** 2)
-    return total / TWO_PI
-
-
-def fredholm_index(
-    op: OneParticleOperator,
-    threshold: float = 1e-8,
-    edge_fraction: float = 0.25,
-) -> int:
-    """dim ker(V--) - dim ker(V--*), discarding truncation artifacts.
-
-    Kernel vectors are found by SVD rank counting at a relative threshold.
-    On a finite window every square block has equal kernel and cokernel
-    dimension, so genuine kernel vectors are separated from truncation
-    artifacts by localization: a kernel vector concentrated (more than half
-    of its mass) on the modes nearest the artificial window edge -M is an
-    artifact of cutting the window and is not counted.
-    """
-    v_mm = op.minus_minus
-    m = v_mm.shape[0]
-    u, sigma, vh = np.linalg.svd(v_mm)
-    scale = sigma[0] if sigma.size and sigma[0] > 0 else 1.0
-    rel = sigma / scale
-    near = np.sum((rel > threshold / 10) & (rel < threshold * 10))
-    if near:
-        raise IllConditioned(
-            f"{near} singular value(s) within a decade of threshold {threshold}"
-        )
-    small = rel <= threshold
-    band = max(1, math.ceil(m * edge_fraction))
-
-    def genuine(vectors: np.ndarray) -> int:
-        # Edge slots are the leading ones (modes -M..); columns are kernel vectors.
-        count = 0
-        for vec in vectors.T:
-            mass_edge = float(np.sum(np.abs(vec[:band]) ** 2))
-            if mass_edge <= 0.5:
-                count += 1
-        return count
-
-    ker_right = vh[small].conj().T  # kernel of V--
-    ker_left = u[:, small]  # kernel of V--^*
-    return genuine(ker_right) - genuine(ker_left)

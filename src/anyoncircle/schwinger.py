@@ -43,19 +43,6 @@ def schwinger_quadrature(alpha: PeriodicFunction, beta: PeriodicFunction) -> com
     return complex(np.sum(alpha.samples * dbeta.samples) * (TWO_PI / g) / TWO_PI)
 
 
-def schwinger_quadrature_antisymmetrized(
-    alpha: PeriodicFunction, beta: PeriodicFunction
-) -> complex:
-    """(1/4 pi) * integral (alpha beta' - alpha' beta); equal by periodicity."""
-    if alpha.grid_size != beta.grid_size:
-        raise WindowMismatch("quadrature requires a shared sampling grid")
-    g = alpha.grid_size
-    da = alpha.derivative()
-    db = beta.derivative()
-    integrand = alpha.samples * db.samples - da.samples * beta.samples
-    return complex(np.sum(integrand) * (TWO_PI / g) / (2.0 * TWO_PI))
-
-
 def schwinger_blip_closed_form(
     omega1: float, omega2: float, eps1: float, eps2: float
 ) -> float:

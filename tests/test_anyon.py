@@ -55,11 +55,11 @@ def test_spec_validation_and_coupling():
     moll = standard_mollifier(0.4)
     with pytest.raises(ValueError):
         AnyonSpec(0.51, point, moll)
-    with pytest.raises(ValueError):
-        AnyonSpec(0.25, point, moll, coupling_sign=2)
-    assert AnyonSpec(0.5, point, moll).coupling == 0.0
+    # +0.0 at and just above the endpoint: a -0.0 would print as -0 in CSV rows
+    for spin in (0.5, 0.5 + 4e-15):
+        assert math.copysign(1.0, AnyonSpec(spin, point, moll).coupling) == 1.0
+        assert AnyonSpec(spin, point, moll).coupling == 0.0
     assert AnyonSpec(0.0, point, moll).coupling == pytest.approx(-1.0)
-    assert AnyonSpec(0.0, point, moll, coupling_sign=+1).coupling == pytest.approx(1.0)
     with pytest.warns(UserWarning):
         AnyonSpec(-4.6, point, moll)
     spec = AnyonSpec(0.25, point, moll)

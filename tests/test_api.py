@@ -1,0 +1,71 @@
+"""The public surface: every export resolves and is used by the package itself."""
+
+import ast
+from pathlib import Path
+
+import anyoncircle
+
+PACKAGE_DIR = Path(anyoncircle.__file__).parent
+
+# references that tests compare the package routes against
+TEST_ORACLES = ("build_field", "blip_derivative", "charge_operator")
+
+
+def _definitions(tree):
+    """Module-level definition nodes by name: functions, classes, assignments."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    found[target.id] = node
+    return found
+
+
+def _references(node, skip):
+    """Names loaded or attributes read under node, outside the subtrees in skip."""
+    if node in skip:
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, skip)
+
+
+MODULES = [
+    ast.parse(path.read_text(), filename=str(path))
+    for path in sorted(PACKAGE_DIR.glob("*.py"))
+    if path.name != "__init__.py"
+]
+DEFINITIONS = [_definitions(tree) for tree in MODULES]
+
+
+def _used_outside_definition(name):
+    for tree, defined in zip(MODULES, DEFINITIONS):
+        own = defined.get(name)
+        if name in _references(tree, {own} if own is not None else set()):
+            return True
+    return False
+
+
+def test_every_export_resolves():
+    missing = [name for name in anyoncircle.__all__ if not hasattr(anyoncircle, name)]
+    assert missing == []
+    assert len(set(anyoncircle.__all__)) == len(anyoncircle.__all__)
+
+
+def test_every_export_is_used_by_the_package():
+    unused = [
+        name
+        for name in anyoncircle.__all__
+        if name not in TEST_ORACLES and not _used_outside_definition(name)
+    ]
+    assert unused == []
+
+
+def test_oracle_exceptions_are_exports():
+    assert set(TEST_ORACLES) <= set(anyoncircle.__all__)

@@ -147,11 +147,3 @@ def test_blip_coefficients_decay_fast():
 
     for n in (8, 16, 32):
         assert envelope(2 * n, 4 * n) < envelope(n, 2 * n) / 4.0
-
-
-def test_shifted_samples_match_direct_evaluation():
-    b = blip(standard_mollifier(0.4), ModeWindow(8))
-    delta = 1.7
-    grid = 128
-    direct = np.asarray(b.evaluate(grid_points(grid) - delta))
-    assert np.max(np.abs(b.shifted_samples(delta, grid) - direct)) < 1e-12

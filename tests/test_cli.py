@@ -135,6 +135,23 @@ def test_commutation_reports_decreasing_errors(capsys):
     assert len(data_lines) == 4
 
 
+def test_commutation_accepts_spin_half_within_rounding(capsys):
+    # AnyonSpec admits s = 1/2 + 4e-15; the coupling must clamp to 0 there
+    code = main(
+        ["commutation", "--spin", "0.500000000000004", "--omega1", "0.9",
+         "--omega2", "3.9", "--cutoffs", "4"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if l.startswith("4,")]
+    assert [r[1] for r in rows] == ["product", "adjoint"]
+    for row in rows:
+        # both spin-1/2 phases are +1 at relative winding -1
+        measured = complex(float(row[2]), float(row[3]))
+        assert abs(measured - 1.0) < 1e-12
+        assert float(row[6]) < 1e-12
+
+
 def test_aux_commutation_exit_zero():
     code = main(
         ["aux-commutation", "--spin", "0.25", "--omega1", "0.0", "--omega2", "3.1",
@@ -256,6 +273,23 @@ def test_report_rejects_unknown_config_key(tmp_path, capsys):
     cfg.write_text("[campaign]\nseeed = 1\n")
     assert main(["report", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["samples = 2", "scan_pairs = 10", "\npairs = 200"],
+    ids=["samples", "scan_pairs", "pairs"],
+)
+def test_report_rejects_negative_counts(tmp_path, capsys, line):
+    # a negative count would check nothing and still pass
+    text = REDUCED_CFG.format(scale=4.0)
+    assert line in text
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(text.replace(line, line.replace(" = ", " = -")))
+    assert main(["report", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "expected a count >= 0" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_rejects_missing_file(tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_covering_point_properties():
     p = CoveringPoint(7.0)
     assert p.winding == 1
     assert p.base == pytest.approx(7.0 - TWO_PI)
-    assert p.shifted(TWO_PI).winding == 2
+    assert CoveringPoint(p.omega + TWO_PI).winding == 2
 
 
 def test_interval_coerces_float_center():
@@ -69,7 +69,7 @@ def test_projections_disjoint_cases():
     d = CoveringInterval(0.5, 0.3)
     assert not projections_disjoint(a, d)
     # the same arc one sheet up overlaps itself
-    assert not projections_disjoint(a, a.shifted(TWO_PI))
+    assert not projections_disjoint(a, CoveringInterval(a.center.omega + TWO_PI, a.half_width))
 
 
 def test_relative_winding_requires_disjoint():
@@ -106,4 +106,5 @@ def test_winding_antisymmetry_and_shift(params):
         return  # slack pushed the far endpoints back together around the circle
     n = relative_winding(first, second)
     assert relative_winding(second, first) == -n - 1
-    assert relative_winding(first.shifted(TWO_PI * k), second) == n + k
+    lifted = CoveringInterval(first.center.omega + TWO_PI * k, hw1)
+    assert relative_winding(lifted, second) == n + k

@@ -7,19 +7,16 @@ import pytest
 
 from anyoncircle.blip import blip, standard_mollifier
 from anyoncircle.covering import TWO_PI
-from anyoncircle.errors import GridTooCoarse, IllConditioned, WindowMismatch
+from anyoncircle.errors import GridTooCoarse, WindowMismatch
 from anyoncircle.modes import (
     ModeWindow,
     OneParticleOperator,
     analyze,
-    fredholm_index,
     grid_points,
     hs_offdiag_norm_sq,
     multiplication_operator,
-    rotate_one_particle,
     sawtooth_coefficients,
     shift_operator,
-    windowed_mode_sum,
 )
 
 SQRT_TWO_PI = math.sqrt(TWO_PI)
@@ -107,32 +104,38 @@ def test_block_views_partition_matrix():
     top = np.hstack([op.minus_minus, op.minus_plus])
     bottom = np.hstack([op.plus_minus, op.plus_plus])
     assert np.array_equal(np.vstack([top, bottom]), mat)
-    assert op.entry(-2, -2) == 0.0
-    assert op.entry(2, 2) == 24.0
+    assert op.matrix[w.slot(-2), w.slot(-2)] == 0.0
+    assert op.matrix[w.slot(2), w.slot(2)] == 24.0
+
+
+def _rotated(op, omega):
+    # conjugation by the one-particle rotation U(omega) = diag(exp(-i n omega))
+    phases = np.exp(-1j * op.window.modes * omega)
+    return OneParticleOperator(op.window, op.matrix * np.outer(phases, phases.conj()))
 
 
 def test_rotate_one_particle():
     w = ModeWindow(4)
     v = shift_operator(w)
-    rot = rotate_one_particle(v, 0.9)
+    rot = _rotated(v, 0.9)
     assert np.max(np.abs(rot.matrix - np.exp(-0.9j) * v.matrix)) < 1e-12
 
     diag = OneParticleOperator(w, np.diag(np.arange(w.size, dtype=complex)))
-    assert np.max(np.abs(rotate_one_particle(diag, 1.3).matrix - diag.matrix)) < 1e-12
+    assert np.max(np.abs(_rotated(diag, 1.3).matrix - diag.matrix)) < 1e-12
 
     # rotating a multiplier equals multiplying by the shifted symbol
     alpha = blip(standard_mollifier(0.5), w)
     mult = multiplication_operator(alpha.periodic, w)
     direct = multiplication_operator(alpha.periodic.shifted(1.1), w)
-    assert np.max(np.abs(rotate_one_particle(mult, 1.1).matrix - direct.matrix)) < 1e-10
+    assert np.max(np.abs(_rotated(mult, 1.1).matrix - direct.matrix)) < 1e-10
 
 
 def test_rotation_composes_exactly():
+    # two symbol rotations give the multiplier of the combined rotation
     w = ModeWindow(3)
-    alpha = blip(standard_mollifier(0.4), w)
-    op = multiplication_operator(alpha.periodic, w)
-    once = rotate_one_particle(rotate_one_particle(op, 0.4), 0.8)
-    combined = rotate_one_particle(op, 1.2)
+    alpha = blip(standard_mollifier(0.4), w).periodic
+    once = multiplication_operator(alpha.shifted(0.4).shifted(0.8), w)
+    combined = multiplication_operator(alpha.shifted(1.2), w)
     assert np.max(np.abs(once.matrix - combined.matrix)) < 1e-12
 
 
@@ -149,9 +152,11 @@ def test_hs_norm_matches_windowed_mode_sum():
     alpha = blip(standard_mollifier(0.5), w)
     op = multiplication_operator(alpha.periodic, w)
     direct = hs_offdiag_norm_sq(op)
-    series = windowed_mode_sum(
-        lambda n: alpha.periodic.coefficient(n), w.cutoff
-    )
+    f = alpha.periodic.coefficient
+    series = sum(
+        min(k, 2 * w.cutoff + 1 - k) * (abs(f(k)) ** 2 + abs(f(-k)) ** 2)
+        for k in range(1, 2 * w.cutoff + 1)
+    ) / TWO_PI
     assert direct == pytest.approx(series, rel=1e-10)
 
 
@@ -160,26 +165,3 @@ def test_sawtooth_coefficients_exact():
     assert f.mean() == pytest.approx(math.pi, abs=1e-12)
     assert f.coefficient(3) == pytest.approx(1j * SQRT_TWO_PI / 3, abs=1e-12)
     assert f.coefficient(-3) == pytest.approx(-1j * SQRT_TWO_PI / 3, abs=1e-12)
-
-
-def test_fredholm_index_values():
-    w = ModeWindow(8)
-    assert fredholm_index(shift_operator(w)) == 1
-    ident = OneParticleOperator(w, np.eye(w.size, dtype=complex))
-    assert fredholm_index(ident) == 0
-
-    from scipy.linalg import expm
-
-    alpha = blip(standard_mollifier(0.4), w)
-    mult = multiplication_operator(alpha.periodic, w).matrix
-    herm = 0.5 * (mult + mult.conj().T)
-    unitary = OneParticleOperator(w, expm(-1j * herm))
-    assert fredholm_index(unitary) == 0
-
-
-def test_fredholm_index_flags_threshold_clusters():
-    w = ModeWindow(4)
-    mat = np.eye(w.size, dtype=complex)
-    mat[0, 0] = 1e-8  # singular value exactly at the decision threshold
-    with pytest.raises(IllConditioned):
-        fredholm_index(OneParticleOperator(w, mat))

@@ -1,45 +1,11 @@
 """Charge-sector blocks of the Fock constructions against the dense full space."""
 
 import numpy as np
-import scipy.sparse as sp
 
 from anyoncircle.anyon import rotation_rep, rotation_sector_scalar
 from anyoncircle.exterior import shift_sign, wedge_elements
-from anyoncircle.fock import (
-    FockBasis,
-    dgamma,
-    implementer_shift,
-    probe_matrix,
-    psi_bilinear_coo,
-)
-from anyoncircle.modes import ModeWindow, OneParticleOperator, shift_operator
-
-
-def _random_hermitian(size, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    return 0.5 * (a + a.conj().T)
-
-
-def _dense_sector(window, matrix, charge):
-    basis = FockBasis(window)
-    full = dgamma(OneParticleOperator(window, matrix), basis).to_dense()
-    masks = basis.sector_masks(charge)
-    return full[np.ix_(masks, masks)]
-
-
-def test_dgamma_csr_matches_dense_restriction():
-    w = ModeWindow(3)
-    basis = FockBasis(w)
-    a = _random_hermitian(w.size, seed=3)
-    for q in (-1, 0, 2):
-        masks = basis.sector_masks(q)
-        index_of = np.full(basis.dim, -1, dtype=np.int64)
-        index_of[masks] = np.arange(masks.size)
-        rows, cols, data = psi_bilinear_coo(masks, a, w, index_of=index_of)
-        sparse = sp.csr_matrix((data, (rows, cols)), shape=(masks.size, masks.size)).toarray()
-        dense = _dense_sector(w, a, q)
-        assert np.max(np.abs(dense - sparse)) < 1e-13
+from anyoncircle.fock import FockBasis, implementer_shift, probe_matrix
+from anyoncircle.modes import ModeWindow, shift_operator
 
 
 def test_shift_apply_matches_full_implementer_blocks():
