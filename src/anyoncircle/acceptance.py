@@ -122,7 +122,8 @@ class _Gate:
     """Smallest slack across every enforced bound.
 
     A gate that enforced no bound has checked nothing: it fails, and its
-    margin stays +inf, which the summary writes as null.
+    margin stays +inf, which the summary writes as null.  A NaN slack is a
+    bound that could not be checked; it fails with margin -inf.
     """
 
     def __init__(self) -> None:
@@ -130,7 +131,7 @@ class _Gate:
         self.bounds = 0
 
     def _slack(self, slack: float) -> None:
-        self.margin = min(self.margin, slack)
+        self.margin = min(self.margin, -math.inf if math.isnan(slack) else slack)
         self.bounds += 1
 
     def below(self, value: float, bound: float) -> None:
@@ -446,9 +447,9 @@ def check_implementer_algebra(
     probes = probe_matrix(basis, truncation_safe_probes(basis, (-1, 0, 1), margin=2))
     for omega in omegas:
         u1 = _free_rotation(basis, omega)
-        lhs = (u1 @ g @ u1.dagger()).to_dense()
-        rhs = (g @ _charge_rotation(basis, omega)).to_dense()
-        cov_err = float(np.max(np.abs((lhs - rhs) @ probes)))
+        lhs = u1 @ g @ u1.dagger()
+        rhs = g @ _charge_rotation(basis, omega)
+        cov_err = float(np.max(np.abs((lhs.matrix - rhs.matrix) @ probes)))
         gate.below(cov_err, cov_tol)
         rows.append(
             CaseRow(
@@ -475,7 +476,7 @@ def check_implementer_crossval(cutoff: int = 4, tol: float = 1e-8) -> CriterionR
     g = implementer_shift(v, basis)
     e = ec_route_implementer(v, basis)
     probes = probe_matrix(basis, truncation_safe_probes(basis, (-1, 0, 1), margin=2))
-    err = float(np.max(np.abs((e.to_dense() - g.to_dense()) @ probes)))
+    err = float(np.max(np.abs((e.matrix - g.matrix) @ probes)))
     gate.below(err, tol)
     rows = [CaseRow("crossval-probe-block", cutoff, _params(), 1.0 + 0j, 1.0 + 0j, err)]
     return CriterionResult(
@@ -683,9 +684,9 @@ def check_rotation_identities(
         worst = 0.0
         for _ in range(pairs):
             a, b = (float(x) for x in rng.uniform(-10.0, 10.0, size=2))
-            lhs = (rotation_rep(a, spin, basis) @ rotation_rep(b, spin, basis)).to_dense()
-            rhs = rotation_rep(a + b, spin, basis).to_dense()
-            worst = max(worst, float(np.max(np.abs((lhs - rhs) @ probes))))
+            lhs = rotation_rep(a, spin, basis) @ rotation_rep(b, spin, basis)
+            rhs = rotation_rep(a + b, spin, basis)
+            worst = max(worst, float(np.max(np.abs((lhs.matrix - rhs.matrix) @ probes))))
         gate.below(worst, group_tol)
         rows.append(
             CaseRow(

@@ -406,24 +406,16 @@ def verify_commutation(
     probe_charges: tuple[int, ...] = (-1, 0, 1),
     v_cap: int = 64,
     w_cap: int = 64,
-    context: ExchangeContext | None = None,
 ) -> CommutationReport:
     """Measure both exchange pairings of two fields and compare to prediction."""
     if abs(spec1.spin - spec2.spin) > 1e-14:
         raise ValueError("exchange relations are stated for equal spins")
     spin = spec1.spin
     n_rel = relative_winding(spec1.localization, spec2.localization)
-    if context is None:
-        context = ExchangeContext(
-            window,
-            spec1.omega,
-            spec2.omega,
-            spec1.mollifier,
-            spec2.mollifier,
-            probe_charges=probe_charges,
-            v_cap=v_cap,
-            w_cap=w_cap,
-        )
+    context = ExchangeContext(
+        window, spec1.omega, spec2.omega, spec1.mollifier, spec2.mollifier,
+        probe_charges=probe_charges, v_cap=v_cap, w_cap=w_cap,
+    )
     tables = context.measure([spin])
     w1, w2 = spec1.omega.omega, spec2.omega.omega
     prod_phase, prod_dev = context.exchange_phase(tables, spin, w1, w2, "product")
@@ -448,21 +440,13 @@ def verify_aux_commutation(
     probe_charges: tuple[int, ...] = (-1, 0, 1),
     v_cap: int = 64,
     w_cap: int = 64,
-    context: ExchangeContext | None = None,
 ) -> PairingResult:
     """Exchange relation of the auxiliary fields, before charge dressing."""
     spin = spec1.spin
-    if context is None:
-        context = ExchangeContext(
-            window,
-            spec1.omega,
-            spec2.omega,
-            spec1.mollifier,
-            spec2.mollifier,
-            probe_charges=probe_charges,
-            v_cap=v_cap,
-            w_cap=w_cap,
-        )
+    context = ExchangeContext(
+        window, spec1.omega, spec2.omega, spec1.mollifier, spec2.mollifier,
+        probe_charges=probe_charges, v_cap=v_cap, w_cap=w_cap,
+    )
     tables = context.measure([spin])
     measured, dev = context.aux_exchange_phase(tables, spin)
     predicted = aux_predicted_phase(

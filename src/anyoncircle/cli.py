@@ -227,6 +227,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _scale(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"expected a finite scale > 0, got {value}")
+    return value
+
+
 def load_campaign(path: Path) -> Campaign:
     parser = configparser.ConfigParser()
     try:
@@ -260,7 +267,7 @@ def load_campaign(path: Path) -> Campaign:
             lambda t: _parse_int_tuple(t, "[exchange] cutoffs"), base.exchange_cutoffs,
         ),
         exchange_threshold_scale=get(
-            "exchange", "threshold_scale", float, base.exchange_threshold_scale
+            "exchange", "threshold_scale", _scale, base.exchange_threshold_scale
         ),
         schwinger_samples=get("schwinger", "samples", _count, base.schwinger_samples),
         schwinger_grid=get("schwinger", "grid", int, base.schwinger_grid),

@@ -347,8 +347,30 @@ def conjugate_blocks(v: OneParticleOperator, threshold: float = 1e-8) -> Conjuga
     )
 
 
-def _submask_indices(mask: int, offset: int, count: int) -> tuple[int, ...]:
-    return tuple(j for j in range(count) if (mask >> (offset + j)) & 1)
+def _compound(block: np.ndarray) -> sp.csr_matrix:
+    """All minors of a square block, indexed by row and column subset masks.
+
+    Entry (t, s) is the determinant of the block restricted to the index
+    sets of t and s in ascending order; subsets of unequal size give 0 and
+    the empty minor is 1.  One batched determinant per subset size.
+    """
+    n = block.shape[0]
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = _popcount(masks)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    rows, cols, data = [masks[:1]], [masks[:1]], [np.ones(1, dtype=complex)]
+    for k in range(1, n + 1):
+        subsets = masks[sizes == k]
+        idx = np.nonzero(bits[subsets])[1].reshape(-1, k)
+        minors = np.linalg.det(block[idx[:, None, :, None], idx[None, :, None, :]])
+        t, s = np.nonzero(minors)
+        rows.append(subsets[t])
+        cols.append(subsets[s])
+        data.append(minors[t, s])
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(1 << n, 1 << n),
+    )
 
 
 def gamma_multiplicative(
@@ -358,96 +380,45 @@ def gamma_multiplicative(
 
     Acts on particle wedges by the plus block and on antiparticle wedges by
     the minus block; the matrix element between occupation states is the
-    product of the two minor determinants.  Dense construction, small
-    windows only.
+    product of the two minor determinants.  A mask is (plus bits << n_minus)
+    | minus bits, so the operator is the Kronecker product of the blocks'
+    compound matrices.
     """
     require_dense_window(basis.window, "multiplicative second quantizations")
-    n_minus = basis.window.n_minus
-    n_plus = basis.window.n_plus
-    dim = basis.dim
-    out = np.zeros((dim, dim), dtype=complex)
-
-    plus_masks: dict[int, list[int]] = {}
-    minus_masks: dict[int, list[int]] = {}
-    for m in range(1 << n_plus):
-        plus_masks.setdefault(int(m).bit_count(), []).append(m)
-    for m in range(1 << n_minus):
-        minus_masks.setdefault(int(m).bit_count(), []).append(m)
-
-    def minor(block: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> complex:
-        if not rows:
-            return 1.0
-        return complex(np.linalg.det(block[np.ix_(rows, cols)]))
-
-    for k_plus, plist in plus_masks.items():
-        plus_minors = {
-            (t, s): minor(
-                plus_block,
-                _submask_indices(t, 0, n_plus),
-                _submask_indices(s, 0, n_plus),
-            )
-            for t in plist
-            for s in plist
-        }
-        for k_minus, mlist in minus_masks.items():
-            for t_m in mlist:
-                for s_m in mlist:
-                    dm = minor(
-                        minus_block,
-                        _submask_indices(t_m, 0, n_minus),
-                        _submask_indices(s_m, 0, n_minus),
-                    )
-                    if dm == 0:
-                        continue
-                    for t_p in plist:
-                        for s_p in plist:
-                            dp = plus_minors[(t_p, s_p)]
-                            if dp == 0:
-                                continue
-                            row = (t_p << n_minus) | t_m
-                            col = (s_p << n_minus) | s_m
-                            out[row, col] += dm * dp
-    return FockOperator(basis, out)
+    mat = sp.kron(_compound(plus_block), _compound(minus_block), format="csr")
+    return FockOperator(basis, mat)
 
 
-def _pair_quadratic(
-    coefficient_block: np.ndarray, kind: str, basis: FockBasis
-) -> FockOperator:
-    """sum C[m,n] a*_m b*_n (kind='create') or sum C[n,m] b_n a_m (kind='annihilate')."""
+def _pair_exponential(coefficients: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
+    """exp(sum C[p,m] a*_p b*_m) over particle modes p and antiparticle modes m.
+
+    The pair terms commute with one another and square to zero, so the
+    exponential is exactly the finite product of the factors 1 + C[p,m] a*_p b*_m.
+    """
     ops = car_operators(basis)
-    total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     n_minus = basis.window.n_minus
-    for i_plus in range(basis.window.n_plus):
-        mode_p = i_plus
-        for i_minus in range(n_minus):
-            mode_m = i_minus - n_minus
-            if kind == "create":
-                c = coefficient_block[i_plus, i_minus]
-                if c == 0:
-                    continue
-                term = ops[("a_dag", mode_p)].matrix @ ops[("b_dag", mode_m)].matrix
-            else:
-                c = coefficient_block[i_minus, i_plus]
-                if c == 0:
-                    continue
-                term = ops[("b", mode_m)].matrix @ ops[("a", mode_p)].matrix
-            total = total + c * term
-    return FockOperator(basis, total.tocsr())
+    one = sp.identity(basis.dim, dtype=complex, format="csr")
+    out = one
+    for (p, i_minus), c in np.ndenumerate(coefficients):
+        if c != 0:
+            pair = ops[("a_dag", p)].matrix @ ops[("b_dag", i_minus - n_minus)].matrix
+            out = out @ (one + c * pair)
+    return out.tocsr()
 
 
 def ec_normal_ordered(z: ConjugateBlocks, basis: FockBasis) -> FockOperator:
-    """Normal-ordered exponential E_c(Z).
+    """Normal-ordered exponential E_c(Z), sparse.
 
     E_c(Z) = exp(Z+- a* b*) G_+(Z++) G_-(Z--^T) exp(-Z-+ b a); used to
     cross-validate the explicit charge-shift implementer on small windows.
+    The annihilating factor is the adjoint of a creating one, since
+    (a*_p b*_m)* = b_m a_p.
     """
     require_dense_window(basis.window, "normal-ordered exponentials")
-    create = _pair_quadratic(z.plus_minus, "create", basis)
-    annihilate = _pair_quadratic(z.minus_plus, "annihilate", basis)
+    left = _pair_exponential(z.plus_minus, basis)
+    right = _pair_exponential(-z.minus_plus.conj().T, basis).conj().T
     middle = gamma_multiplicative(z.plus_plus, z.minus_minus.T, basis)
-    left = dense_expm(create.to_dense())
-    right = dense_expm(-annihilate.to_dense())
-    return FockOperator(basis, left @ middle.to_dense() @ right)
+    return FockOperator(basis, (left @ middle.matrix @ right).tocsr())
 
 
 def _kernel_unit_vector(block: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -478,21 +449,15 @@ def ec_route_implementer(v: OneParticleOperator, basis: FockBasis) -> FockOperat
     z = conjugate_blocks(v)
     ec = ec_normal_ordered(z, basis)
     ops = car_operators(basis)
-    window = v.window
+    n_minus = v.window.n_minus
     e_minus = _kernel_unit_vector(v.minus_minus)
-    full = np.zeros(window.size, dtype=complex)
-    full[: window.n_minus] = e_minus
+    full = np.zeros(v.window.size, dtype=complex)
+    full[:n_minus] = e_minus
     e_zero = v.matrix @ full
-    if np.linalg.norm(e_zero[: window.n_minus]) > 1e-10:
+    if np.linalg.norm(e_zero[:n_minus]) > 1e-10:
         raise WrongClass("image of the kernel vector is not a particle vector")
-    create = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for i, amp in enumerate(e_zero[window.n_minus :]):
-        if amp != 0:
-            create = create + amp * ops[("a_dag", i)].matrix
-    annihilate = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for i, amp in enumerate(e_minus):
-        if amp != 0:
-            annihilate = annihilate + amp * ops[("b", i - window.n_minus)].matrix
+    create = sum(amp * ops[("a_dag", i)].matrix for i, amp in enumerate(e_zero[n_minus:]) if amp)
+    annihilate = sum(amp * ops[("b", i - n_minus)].matrix for i, amp in enumerate(e_minus) if amp)
     raw = create @ ec.matrix + ec.matrix @ annihilate
     vac_image = np.asarray(raw @ basis.vacuum())
     norm = np.linalg.norm(vac_image)

@@ -6,9 +6,11 @@ built once by the module fixture; its largest window dominates the
 runtime (several minutes).
 """
 
+import math
+
 import pytest
 
-from anyoncircle import acceptance, anyon, cones
+from anyoncircle import acceptance, anyon, cones, fock
 from anyoncircle.acceptance import (
     CLAIM_IDS,
     ExchangeSweep,
@@ -156,3 +158,46 @@ def test_cones_fail_when_lp_sees_one_ray(monkeypatch):
     planted = _smoke_cones(acceptance.CONE_SCAN_SEED)
     assert not planted.passed
     assert _scan_disagreements(planted) > 0
+
+
+# The implementer claims build their own dense window; cutoff 3 keeps it small.
+
+
+def test_implementer_claims_pass_without_defect_at_cutoff_3():
+    assert acceptance.check_implementer_crossval(cutoff=3).passed
+    assert acceptance.check_implementer_algebra(cutoff=3).passed
+
+
+def test_crossval_fails_when_minus_block_is_untransposed(monkeypatch):
+    honest = fock.gamma_multiplicative
+
+    def untransposed(plus_block, minus_block, basis):
+        # E_c takes G_-(Z--^T); undo the transpose
+        return honest(plus_block, minus_block.T, basis)
+
+    monkeypatch.setattr(fock, "gamma_multiplicative", untransposed)
+    assert not acceptance.check_implementer_crossval(cutoff=3).passed
+
+
+def test_implementer_algebra_fails_with_reversed_charge_rotation(monkeypatch):
+    honest = acceptance._charge_rotation
+    monkeypatch.setattr(acceptance, "_charge_rotation", lambda basis, omega: honest(basis, -omega))
+    planted = acceptance.check_implementer_algebra(cutoff=3)
+    assert not planted.passed
+    assert all(
+        r.abs_error > 0.1 for r in planted.rows if r.case_id.startswith("implementer-covariance")
+    )
+
+
+# ------------------------------------------------------------ gate soundness
+
+
+def test_gate_fails_on_nan_slack():
+    gate = acceptance._Gate()
+    gate.below(0.0, 1.0)
+    gate.below(math.nan, 1e-9)
+    assert not gate.passed
+    assert gate.margin == -math.inf
+    gate = acceptance._Gate()
+    gate.decrease(math.nan, 0.0)
+    assert not gate.passed

@@ -231,8 +231,9 @@ def test_exchange_error_decreases_with_cutoff():
     spec1, spec2 = _specs(spin)
     errors = []
     for m in (4, 6):
-        ctx = _context(m)
-        report = verify_commutation(spec1, spec2, ctx.window, context=ctx)
+        report = verify_commutation(
+            spec1, spec2, ModeWindow(m), probe_charges=(0,), v_cap=6, w_cap=6
+        )
         errors.append(report.product.error)
     assert errors[1] < errors[0]
     assert errors[1] < 0.02
@@ -278,8 +279,9 @@ def test_aux_relation_converges():
     spec1, spec2 = _specs(spin)
     errors = []
     for m in (4, 6):
-        ctx = _context(m)
-        result = verify_aux_commutation(spec1, spec2, ctx.window, context=ctx)
+        result = verify_aux_commutation(
+            spec1, spec2, ModeWindow(m), probe_charges=(0,), v_cap=6, w_cap=6
+        )
         errors.append(result.error)
     assert errors[1] < errors[0]
 

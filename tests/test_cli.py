@@ -292,6 +292,16 @@ def test_report_rejects_negative_counts(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+def test_report_rejects_bad_threshold_scale(tmp_path, capsys, scale):
+    # a NaN scale makes every calibrated exchange bound NaN
+    cfg = _write_cfg(tmp_path, scale=scale)
+    assert main(["report", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "threshold_scale" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_rejects_missing_file(tmp_path, capsys):
     assert main(["report", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from anyoncircle.blip import blip, standard_mollifier
 from anyoncircle.errors import (
@@ -13,12 +14,15 @@ from anyoncircle.errors import (
     WrongClass,
 )
 from anyoncircle.fock import (
+    ConjugateBlocks,
     FockBasis,
     car_operators,
     charge_operator,
     conjugate_blocks,
     dgamma,
+    ec_normal_ordered,
     ec_route_implementer,
+    gamma_multiplicative,
     implementer_exp,
     implementer_shift,
     pattern_probes,
@@ -234,6 +238,67 @@ def test_normal_ordered_route_matches_explicit_shift():
 
 
 # ------------------------------------------------------------------- probes
+
+
+def _random_block(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def _minor(block, rows_mask, cols_mask):
+    rows = [j for j in range(block.shape[0]) if rows_mask >> j & 1]
+    cols = [j for j in range(block.shape[1]) if cols_mask >> j & 1]
+    if len(rows) != len(cols):
+        return 0.0
+    return np.linalg.det(block[np.ix_(rows, cols)]) if rows else 1.0
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_gamma_multiplicative_is_product_of_minors(cutoff):
+    basis = _basis(cutoff)
+    w = basis.window
+    rng = np.random.default_rng(cutoff)
+    plus = _random_block(rng, w.n_plus, w.n_plus)
+    minus = _random_block(rng, w.n_minus, w.n_minus)
+    low = (1 << w.n_minus) - 1
+    expected = np.array(
+        [
+            [
+                _minor(plus, row >> w.n_minus, col >> w.n_minus)
+                * _minor(minus, row & low, col & low)
+                for col in range(basis.dim)
+            ]
+            for row in range(basis.dim)
+        ]
+    )
+    got = gamma_multiplicative(plus, minus, basis).to_dense()
+    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_normal_ordered_pair_factors_match_expm(cutoff):
+    # no shift has pair terms, so random blocks pin the finite-product
+    # exponentials and their index order
+    basis = _basis(cutoff)
+    w = basis.window
+    rng = np.random.default_rng(10 + cutoff)
+    z = ConjugateBlocks(
+        plus_plus=_random_block(rng, w.n_plus, w.n_plus),
+        plus_minus=0.5 * _random_block(rng, w.n_plus, w.n_minus),
+        minus_plus=0.5 * _random_block(rng, w.n_minus, w.n_plus),
+        minus_minus=_random_block(rng, w.n_minus, w.n_minus),
+    )
+    ops = car_operators(basis)
+    create = np.zeros((basis.dim, basis.dim), dtype=complex)
+    annihilate = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for p in range(w.n_plus):
+        for i in range(w.n_minus):
+            m = i - w.n_minus
+            create += z.plus_minus[p, i] * (ops[("a_dag", p)] @ ops[("b_dag", m)]).to_dense()
+            annihilate += z.minus_plus[i, p] * (ops[("b", m)] @ ops[("a", p)]).to_dense()
+    middle = gamma_multiplicative(z.plus_plus, z.minus_minus.T, basis).to_dense()
+    expected = expm(create) @ middle @ expm(-annihilate)
+    got = ec_normal_ordered(z, basis).to_dense()
+    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 def test_truncation_safe_probes_stay_interior():
