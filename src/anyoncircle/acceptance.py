@@ -26,8 +26,7 @@ from .anyon import (
     ExchangeContext,
     predicted_phase,
     rotation_rep,
-    rotation_sector_scalar,
-    verify_spin_recurrence,
+    verify_rotation_covariance,
 )
 from .blip import blip, standard_mollifier
 from .cones import (
@@ -596,49 +595,56 @@ def check_two_pi_shift(sweep: ExchangeSweep, tol: float = 1e-9) -> CriterionResu
     )
 
 
+# the rotated field and the covariance gate of both rotation claims
+ROTATION_CENTER, ROTATION_EPSILON = 0.9, 0.65
+ROTATION_ANGLES = (0.37, -TWO_PI + 0.37, 3 * TWO_PI - 1.1)
+COVARIANCE_TOL = 1e-12
+
+
 def check_spin_recurrence(
     cutoff: int = 6,
     spins: tuple[float, ...] = (0.5, 0.0, 0.25, -0.5),
-    center: float = 0.9,
-    epsilon: float = 0.65,
+    center: float = ROTATION_CENTER,
+    epsilon: float = ROTATION_EPSILON,
     tol: float = 1e-8,
 ) -> CriterionResult:
-    """Second difference of the rotation conjugation phases equals 2s, and
-    the quadratic sector fit holds with the neutral sector pinned at one."""
+    """The 2 pi rows of rotation covariance.  The sector phases d_q, the
+    ratios of the field at omega + 2 pi to the field at omega on charge-q
+    probes, equal exp(2 pi i s (2q+1)), and their second difference
+    d_(q+1) conj(d_q) equals exp(4 pi i s) on the unit circle (branch free)."""
     start = time.perf_counter()
     gate = _Gate()
     rows: list[CaseRow] = []
-    for spin in spins:
-        t0 = time.perf_counter()
-        rep = verify_spin_recurrence(
-            spin, CoveringPoint(center), standard_mollifier(epsilon), ModeWindow(cutoff)
-        )
-        gate.below(rep.recurrence_residual, tol)
-        gate.below(rep.fit_residual, tol)
-        elapsed = (time.perf_counter() - t0) * 1e3
-        for q in rep.charges:
+    turns = verify_rotation_covariance(
+        spins, CoveringPoint(center), standard_mollifier(epsilon), ModeWindow(cutoff),
+        (TWO_PI,),
+    )
+    for turn in turns:
+        spin = turn.spin
+        charges = sorted(turn.fresh)
+        d = {q: phase_from_elements(turn.fresh[q], turn.plain[q])[0] for q in charges}
+        for q in charges:
+            predicted = complex(np.exp(2j * np.pi * spin * (2 * q + 1)))
+            err = abs(d[q] - predicted)
+            gate.below(err, tol)
             rows.append(
                 CaseRow(
-                    f"recurrence-s{spin:g}-q{q}",
-                    cutoff,
-                    _params(spin=spin, charge=q),
-                    rep.conjugation_phases[q],
-                    rep.predicted_phases[q],
-                    abs(rep.conjugation_phases[q] - rep.predicted_phases[q]),
+                    f"recurrence-s{spin:g}-q{q}", cutoff, _params(spin=spin, charge=q),
+                    d[q], predicted, err,
                 )
             )
-        rows.append(
-            CaseRow(
-                f"recurrence-s{spin:g}-second-difference", cutoff, _params(spin=spin),
-                complex(rep.recurrence_residual), 0j, rep.recurrence_residual, elapsed,
-            )
+        second = max(
+            float(abs(d[q + 1] * np.conj(d[q]) - np.exp(4j * np.pi * spin))) for q in charges[:-1]
         )
-        rows.append(
-            CaseRow(
-                f"recurrence-s{spin:g}-quadratic-fit", cutoff, _params(spin=spin),
-                complex(rep.fit_residual), 0j, rep.fit_residual,
+        gate.below(second, tol)
+        gate.below(turn.error, COVARIANCE_TOL)
+        for name, value in (("second-difference", second), ("covariance", turn.error)):
+            rows.append(
+                CaseRow(
+                    f"recurrence-s{spin:g}-{name}", cutoff, _params(spin=spin),
+                    complex(value), 0j, value,
+                )
             )
-        )
     return CriterionResult(
         "thm1-recurrence",
         "rotation second difference",
@@ -655,26 +661,24 @@ def check_rotation_identities(
     spins: tuple[float, ...] = (0.5, 0.0, 0.25, -0.5),
     pairs: int = 5,
     seed: int = DEFAULT_SEED,
-    scan_tol: float = 1e-12,
     group_tol: float = 1e-10,
 ) -> CriterionResult:
-    """Full-turn sector scalars and the group law of the rotation family."""
+    """Rotation covariance of the field at generic angles, on probe minors,
+    and the group law of the rotation family on a dense window."""
     start = time.perf_counter()
     gate = _Gate()
     rows: list[CaseRow] = []
-    scan_basis = FockBasis(ModeWindow(cutoff))
-    w = scan_basis.window
-    for spin in spins:
-        worst = 0.0
-        for q in range(-w.n_minus, w.n_plus + 1):
-            scalar, spread = rotation_sector_scalar(spin, scan_basis, q)
-            gate.require(spread == 0.0)
-            worst = max(worst, abs(scalar - np.exp(2j * np.pi * spin * q * q)))
-        gate.below(worst, scan_tol)
+    covariance = verify_rotation_covariance(
+        spins, CoveringPoint(ROTATION_CENTER), standard_mollifier(ROTATION_EPSILON),
+        ModeWindow(cutoff), ROTATION_ANGLES,
+    )
+    for res in covariance:
+        gate.below(res.error, COVARIANCE_TOL)
         rows.append(
             CaseRow(
-                f"rotation-scan-s{spin:g}", cutoff, _params(spin=spin),
-                1.0 + 0j, 1.0 + 0j, worst,
+                f"rotation-covariance-s{res.spin:g}-w{res.omega:g}", cutoff,
+                _params(spin=res.spin, omega=res.omega),
+                complex(res.error), 0j, res.error,
             )
         )
     basis = FockBasis(ModeWindow(dense_cutoff))

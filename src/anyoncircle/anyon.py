@@ -38,8 +38,7 @@ from .fock import (
     implementer_shift,
     phase_from_elements,
     pattern_probes,
-    require_dense_window,
-    truncation_safe_probes,
+    rotation_weights,
 )
 from .modes import ModeWindow, OneParticleOperator, multiplication_operator, shift_operator
 from .schwinger import schwinger_blip_closed_form
@@ -124,14 +123,14 @@ def coefficient_tail(mollifier: Mollifier, window: ModeWindow, grid_size: int | 
     return float(edge / scale)
 
 
-def charge_prefactor_diagonal(basis: FockBasis, spin: float, omega: float) -> np.ndarray:
-    q = basis.charges.astype(float)
+def charge_prefactor(spin: float, omega: float, charge) -> np.ndarray:
+    """exp(i s omega (2q - 1)) on charge q, at the full covering angle omega."""
+    q = np.asarray(charge, dtype=float)
     return np.exp(1j * spin * omega * (2.0 * q - 1.0))
 
 
 def build_field(spec: AnyonSpec, window: ModeWindow, grid_size: int | None = None) -> AnyonField:
     """Materialized field operator; dense construction, small windows only."""
-    require_dense_window(window, "materialized fields")
     basis = FockBasis(window)
     grid = window.default_grid() if grid_size is None else grid_size
     _resolvability_guard(spec.mollifier.epsilon, window, grid)
@@ -140,7 +139,7 @@ def build_field(spec: AnyonSpec, window: ModeWindow, grid_size: int | None = Non
 
     shift_impl = implementer_shift(shift_operator(window), basis)
     u0q = sp.diags(np.exp(-1j * omega * basis.charges.astype(float))).tocsr()
-    pre = sp.diags(charge_prefactor_diagonal(basis, spec.spin, omega)).tocsr()
+    pre = sp.diags(charge_prefactor(spec.spin, omega, basis.charges)).tocsr()
     coupling = spec.coupling
     if coupling == 0.0:
         dressing_mat: np.ndarray | sp.spmatrix = sp.identity(basis.dim, dtype=complex, format="csr")
@@ -161,10 +160,14 @@ def rotation_rep(omega: float, spin: float, basis: FockBasis) -> FockOperator:
     2 pi periodic up to the quadratic charge phases: U(2 pi) is the diagonal
     exp(2 pi i s q^2) on the charge-q sector by construction.
     """
-    base, _ = project(omega)
-    q = basis.charges.astype(float)
-    diag = np.exp(1j * spin * omega * q * q) * np.exp(-1j * base * basis.theta)
+    diag = rotation_phases(omega, spin, basis.charges.astype(float), basis.theta)
     return FockOperator(basis, sp.diags(diag).tocsr())
+
+
+def rotation_phases(omega: float, spin: float, charge, theta: np.ndarray) -> np.ndarray:
+    """Diagonal of U(omega) on states of the given charges and rotation weights."""
+    base, _ = project(omega)
+    return np.exp(1j * spin * omega * charge * charge) * np.exp(-1j * base * theta)
 
 
 def predicted_phase(
@@ -455,98 +458,81 @@ def verify_aux_commutation(
     return PairingResult(measured, predicted, dev)
 
 
-def rotation_sector_scalar(
-    spin: float, basis: FockBasis, charge: int, omega: float = TWO_PI
-) -> tuple[complex, float]:
-    """Scalar of U(omega) on the charge sector of ``basis`` and its spread across states.
+def field_elements(
+    spin: float,
+    omega: float,
+    beta: np.ndarray,
+    window: ModeWindow,
+    probes: dict[int, tuple[np.ndarray, np.ndarray]],
+) -> dict[int, np.ndarray]:
+    """<w|Phi_(s,omega)|v> per charge q, for probes[q] = (w of charge q+1, v of charge q).
 
-    At omega = 2 pi the free factor is the identity by base reduction, so
-    the spread is exactly zero and the scalar is exp(2 pi i s q^2).
+    ``beta`` is the mean-dropped blip multiplier recentred at base(omega).
+    On sector q the field is one charged minor of V exp(i lambda beta) times
+    the shift gauge, the dressing scalar, the restored mean exp(i lambda pi q),
+    exp(-i omega q) and the prefactor at the covering angle.
     """
-    base, _ = project(omega)
-    theta = basis.theta[basis.sector_masks(charge)]
-    diag = np.exp(1j * spin * omega * float(charge) ** 2) * np.exp(-1j * base * theta)
-    scalar = diag[0]
-    spread = float(np.max(np.abs(diag - scalar)))
-    return complex(scalar), spread
+    lam = _coupling(spin)
+    dress_scalar, unitary = dressing_unitary(beta, lam, window)
+    core = np.eye(window.size, k=-1, dtype=complex) @ unitary
+    return {
+        q: charge_prefactor(spin, omega, q + 1)
+        * np.exp(1j * (lam * math.pi - omega) * q)
+        * dress_scalar
+        * shift_sign(window, q)
+        * wedge_elements(core, rows, cols, window, creations=1)
+        for q, (rows, cols) in probes.items()
+    }
 
 
 @dataclass
-class SpinRecurrenceReport:
+class RotationCovariance:
+    """Largest gap |U(omega) Phi_(s,omega1) U(omega)* - Phi_(s,omega1+omega)|
+    over the probes, and both fields' elements per charge."""
+
     spin: float
-    charges: list[int]
-    conjugation_phases: dict[int, complex]
-    predicted_phases: dict[int, complex]
-    recurrence_residual: float
-    fit_residual: float
-    max_sector_spread: float
+    omega: float
+    error: float
+    plain: dict[int, np.ndarray]
+    fresh: dict[int, np.ndarray]
 
 
-def verify_spin_recurrence(
-    spin: float,
-    omega: CoveringPoint,
+def verify_rotation_covariance(
+    spins: tuple[float, ...],
+    point: CoveringPoint,
     mollifier: Mollifier,
     window: ModeWindow,
-    charges: tuple[int, ...] = (-2, -1, 0, 1, 2),
-    v_cap: int = 8,
-    w_cap: int = 32,
-) -> SpinRecurrenceReport:
-    """Sector phases of the 2 pi rotation acting on the field by conjugation.
+    omegas: tuple[float, ...],
+) -> list[RotationCovariance]:
+    """Check U(omega) Phi_(s,omega1) U(omega)* = Phi_(s,omega1+omega) on probe minors.
 
-    d_q is measured as the element ratio of U(2 pi) Phi U(2 pi)* against Phi
-    on charge-q probes; the second difference of the extracted exponents is
-    compared to 2s on the unit circle (branch free): d_(q+1) conj(d_q)
-    against exp(4 pi i s).
+    The left side applies U(omega) = exp(i s omega Q^2) exp(-i omega theta)
+    as diagonal phases on the probe states; the right side is built afresh
+    from a blip recentred at base(omega1 + omega) and the prefactor at
+    omega1 + omega.  The identity is exact at every window, so the probes
+    of charges -2..2 (8 per charge, 32 one charge up) may touch the edges.
     """
-    basis = FockBasis(window)
-    base = omega.base
-    full = omega.omega
-    beta = blip_multiplier(mollifier, window, base)
-    lam = _coupling(spin)
-    dress_scalar, unitary = dressing_unitary(beta, lam, window)
-    # G exp(-i omega Q) D on sector q is one charged minor of V U
-    shifted_dressing = np.eye(window.size, k=-1, dtype=complex) @ unitary
-
-    conj_phases: dict[int, complex] = {}
-    predicted: dict[int, complex] = {}
-    max_spread = 0.0
-    for q in charges:
-        v_masks = np.asarray(truncation_safe_probes(basis, [q], margin=2, cap=v_cap), dtype=np.int64)
-        w_masks = np.asarray(
-            truncation_safe_probes(basis, [q + 1], margin=2, cap=w_cap), dtype=np.int64
+    probes = {
+        q: tuple(
+            np.asarray(pattern_probes(window, c, band=2, margin=0, cap=cap), dtype=np.int64)
+            for c, cap in ((q + 1, 32), (q, 8))
         )
-        phases = (
-            np.exp(1j * spin * full * (2 * q + 1))
-            * np.exp(-1j * full * q)
-            * np.exp(1j * lam * math.pi * q)
-            * dress_scalar
-            * shift_sign(window, q)
-        )
-        plain = phases * wedge_elements(shifted_dressing, w_masks, v_masks, window, creations=1)
-
-        u_in, spread_in = rotation_sector_scalar(spin, basis, q)
-        u_out, spread_out = rotation_sector_scalar(spin, basis, q + 1)
-        max_spread = max(max_spread, spread_in, spread_out)
-        conjugated = u_out * plain * np.conj(u_in)
-        phase, _ = phase_from_elements(conjugated, plain)
-        conj_phases[q] = phase
-        predicted[q] = complex(np.exp(2j * np.pi * spin * (2 * q + 1)))
-
-    qs = sorted(conj_phases)
-    recurrence = 0.0
-    for q in qs[:-1]:
-        second = conj_phases[q + 1] * np.conj(conj_phases[q])
-        recurrence = max(recurrence, float(abs(second - np.exp(4j * np.pi * spin))))
-    fit = 0.0
-    for q in list(qs) + [qs[-1] + 1]:
-        scalar, _ = rotation_sector_scalar(spin, basis, q)
-        fit = max(fit, float(abs(scalar - np.exp(2j * np.pi * spin * q * q))))
-    return SpinRecurrenceReport(
-        spin=spin,
-        charges=list(qs),
-        conjugation_phases=conj_phases,
-        predicted_phases=predicted,
-        recurrence_residual=recurrence,
-        fit_residual=fit,
-        max_sector_spread=max_spread,
-    )
+        for q in range(-2, 3)
+    }
+    weights = {q: [rotation_weights(m, window) for m in pair] for q, pair in probes.items()}
+    omega1 = point.omega
+    plain_beta = blip_multiplier(mollifier, window, point.base)
+    fresh_betas = {w: blip_multiplier(mollifier, window, project(omega1 + w)[0]) for w in omegas}
+    results: list[RotationCovariance] = []
+    for spin in spins:
+        plain = field_elements(spin, omega1, plain_beta, window, probes)
+        for w in omegas:
+            fresh = field_elements(spin, omega1 + w, fresh_betas[w], window, probes)
+            error = 0.0
+            for q, (theta_out, theta_in) in weights.items():
+                u_out = rotation_phases(w, spin, q + 1, theta_out)
+                u_in = rotation_phases(w, spin, q, theta_in)
+                rotated = u_out[:, None] * plain[q] * np.conj(u_in)
+                error = max(error, float(np.max(np.abs(rotated - fresh[q]))))
+            results.append(RotationCovariance(spin, w, error, plain, fresh))
+    return results

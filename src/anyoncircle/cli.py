@@ -34,6 +34,7 @@ from .acceptance import (
     check_implementer_crossval,
     check_spin_recurrence,
     claim_checks,
+    load_calibration,
 )
 from .anyon import (
     AnyonSpec,
@@ -231,6 +232,12 @@ def _scale(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"expected a finite scale > 0, got {value}")
+    # two unit phases are at most 2 apart: once every calibrated bound is
+    # that large, only the exact spin-1/2 rows are left checked
+    exchange = load_calibration()["exchange"].values()
+    smallest = min(r["threshold"] for rows in exchange for r in rows.values() if not r.get("exact"))
+    if value * smallest >= 2.0:
+        raise ValueError(f"{value:g} lifts every calibrated exchange threshold to 2 or more")
     return value
 
 

@@ -33,8 +33,6 @@ from .errors import (
 from .modes import ModeWindow, OneParticleOperator
 
 _DENSE_DIM_LIMIT = 2048
-_FULL_SPACE_MAX_CUTOFF = 8
-_BASIS_MAX_CUTOFF = 12
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
@@ -57,28 +55,38 @@ def occupation_mask(
     return mask
 
 
+def rotation_weights(masks: np.ndarray, window: ModeWindow) -> np.ndarray:
+    """theta per bitmask state, the sum of |mode| over occupied slots; the
+    free rotation acts on a state as exp(-i omega theta)."""
+    masks = np.asarray(masks, dtype=np.int64)
+    theta = np.zeros(masks.shape, dtype=np.int64)
+    for j in range(window.size):
+        theta += ((masks >> j) & 1) * abs(j - window.n_minus)
+    return theta
+
+
 class FockBasis:
-    """Occupation-bitmask basis; the basis index of a state is its mask."""
+    """Occupation-bitmask basis; the basis index of a state is its mask.
+
+    The one dense limit: dimension 2048 (M <= 5), checked before allocating.
+    """
 
     def __init__(self, window: ModeWindow):
-        if window.cutoff > _BASIS_MAX_CUTOFF:
+        dim = 1 << window.size
+        if dim > _DENSE_DIM_LIMIT:
             raise ResourceLimit(
-                f"the full Fock basis is limited to M <= {_BASIS_MAX_CUTOFF}, got M={window.cutoff}"
+                f"the dense Fock basis is limited to dimension {_DENSE_DIM_LIMIT}; "
+                f"M={window.cutoff} has dimension {dim}"
             )
         self.window = window
-        self.dim = 1 << window.size
+        self.dim = dim
         self.minus_bits = (1 << window.n_minus) - 1
         self.plus_bits = ((1 << window.size) - 1) ^ self.minus_bits
         masks = np.arange(self.dim, dtype=np.int64)
         self.charges = (
             _popcount(masks & self.plus_bits) - _popcount(masks & self.minus_bits)
         ).astype(np.int8)
-        # theta(S) = sum of modes over particles minus sum over antiparticles
-        # = sum over occupied slots of |slot - M|; drives rotation phases.
-        theta = np.zeros(self.dim, dtype=np.int64)
-        for j in range(window.size):
-            theta += ((masks >> j) & 1) * abs(j - window.n_minus)
-        self.theta = theta
+        self.theta = rotation_weights(masks, window)
 
     def slot(self, mode: int) -> int:
         return self.window.slot(mode)
@@ -135,24 +143,6 @@ class FockOperator:
         return set(np.unique(shifts).tolist())
 
 
-def _guard_full_space(basis: FockBasis, what: str) -> None:
-    if basis.window.cutoff > _FULL_SPACE_MAX_CUTOFF:
-        raise ResourceLimit(
-            f"{what} on the full Fock space is limited to M <= {_FULL_SPACE_MAX_CUTOFF}; "
-            "exchange elements at larger M come from ExchangeContext minors"
-        )
-
-
-def require_dense_window(window: ModeWindow, what: str) -> None:
-    """Raise before any allocation when dense Fock matrices would be too large."""
-    dim = 1 << window.size
-    if dim > _DENSE_DIM_LIMIT:
-        raise ResourceLimit(
-            f"{what} are limited to Fock dimension {_DENSE_DIM_LIMIT}; "
-            f"M={window.cutoff} has dimension {dim}"
-        )
-
-
 def _elementary_annihilator(basis: FockBasis, slot: int) -> sp.csr_matrix:
     masks = np.arange(basis.dim, dtype=np.int64)
     bit = np.int64(1) << slot
@@ -168,7 +158,6 @@ def _elementary_annihilator(basis: FockBasis, slot: int) -> sp.csr_matrix:
 
 def car_operators(basis: FockBasis) -> dict[tuple[str, int], FockOperator]:
     """All ladder operators keyed by ('a'|'a_dag'|'b'|'b_dag', mode)."""
-    _guard_full_space(basis, "ladder operator construction")
     ops: dict[tuple[str, int], FockOperator] = {}
     for n in basis.window.modes:
         ann = _elementary_annihilator(basis, basis.slot(int(n)))
@@ -236,13 +225,15 @@ def dgamma(a: OneParticleOperator, basis: FockBasis) -> FockOperator:
 def implementer_exp(
     a: OneParticleOperator, t: float, basis: FockBasis, herm_tol: float = 1e-10
 ) -> FockOperator:
-    """Unitary exp(i t dG(A)) for Hermitian A; dense, small spaces only."""
-    require_dense_window(basis.window, "dense exponentials")
+    """Unitary exp(i t dG(A)) for Hermitian A, one charge block at a time."""
     dev = np.max(np.abs(a.matrix - a.matrix.conj().T))
     if dev > herm_tol * max(1.0, float(np.max(np.abs(a.matrix)))):
         raise NotHermitian(f"generator deviates from Hermitian by {dev:.3e}")
-    gen = dgamma(a, basis)
-    mat = dense_expm(1j * t * gen.to_dense())
+    gen = dgamma(a, basis).matrix
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for q in np.unique(basis.charges):
+        idx = basis.sector_masks(int(q))
+        mat[np.ix_(idx, idx)] = dense_expm(1j * t * gen[idx][:, idx].toarray())
     return FockOperator(basis, mat)
 
 
@@ -384,7 +375,6 @@ def gamma_multiplicative(
     | minus bits, so the operator is the Kronecker product of the blocks'
     compound matrices.
     """
-    require_dense_window(basis.window, "multiplicative second quantizations")
     mat = sp.kron(_compound(plus_block), _compound(minus_block), format="csr")
     return FockOperator(basis, mat)
 
@@ -414,7 +404,6 @@ def ec_normal_ordered(z: ConjugateBlocks, basis: FockBasis) -> FockOperator:
     The annihilating factor is the adjoint of a creating one, since
     (a*_p b*_m)* = b_m a_p.
     """
-    require_dense_window(basis.window, "normal-ordered exponentials")
     left = _pair_exponential(z.plus_minus, basis)
     right = _pair_exponential(-z.minus_plus.conj().T, basis).conj().T
     middle = gamma_multiplicative(z.plus_plus, z.minus_minus.T, basis)

@@ -8,9 +8,10 @@ runtime (several minutes).
 
 import math
 
+import numpy as np
 import pytest
 
-from anyoncircle import acceptance, anyon, cones, fock
+from anyoncircle import acceptance, anyon, cones, covering, fock
 from anyoncircle.acceptance import (
     CLAIM_IDS,
     ExchangeSweep,
@@ -19,6 +20,8 @@ from anyoncircle.acceptance import (
     claim_checks,
     load_calibration,
 )
+from anyoncircle.blip import standard_mollifier
+from anyoncircle.modes import from_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +190,92 @@ def test_implementer_algebra_fails_with_reversed_charge_rotation(monkeypatch):
     assert all(
         r.abs_error > 0.1 for r in planted.rows if r.case_id.startswith("implementer-covariance")
     )
+
+
+# The rotation claims at the smoke sizes: recurrence at M = 4, covariance
+# at M = 3 and the group law at M = 3.
+
+
+def _rotation_claims():
+    return (
+        acceptance.check_spin_recurrence(cutoff=4),
+        acceptance.check_rotation_identities(cutoff=3, dense_cutoff=3),
+    )
+
+
+def test_rotation_claims_pass_without_defect():
+    assert all(result.passed for result in _rotation_claims())
+
+
+def test_rotation_claims_fail_on_noise_elements(monkeypatch):
+    # a claim about the field must notice when its elements are noise
+    rng = np.random.default_rng(11)
+
+    def noise(matrix, rows, cols, window, creations=0):
+        shape = (np.size(rows), np.size(cols))
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    monkeypatch.setattr(anyon, "wedge_elements", noise)
+    assert not any(result.passed for result in _rotation_claims())
+
+
+def test_rotation_claims_fail_with_moved_fresh_blip(monkeypatch):
+    honest = anyon.field_elements
+
+    def moved(spin, omega, beta, window, probes):
+        if omega != acceptance.ROTATION_CENTER:
+            # the side built afresh at omega1 + omega gets its blip 1e-3 off
+            base = anyon.project(omega)[0] + 1e-3
+            mollifier = standard_mollifier(acceptance.ROTATION_EPSILON)
+            beta = anyon.blip_multiplier(mollifier, window, base)
+        return honest(spin, omega, beta, window, probes)
+
+    monkeypatch.setattr(anyon, "field_elements", moved)
+    recurrence, rotation = _rotation_claims()
+    assert not recurrence.passed and not rotation.passed
+    # at s = 1/2 the dressing, and with it the blip, drops out
+    for row in rotation.rows:
+        if row.case_id.startswith("rotation-covariance-s0.25"):
+            assert row.abs_error > 1e-4
+
+
+def test_rotation_claims_fail_with_base_angle_prefactor(monkeypatch):
+    honest = anyon.charge_prefactor
+    monkeypatch.setattr(
+        anyon, "charge_prefactor",
+        lambda spin, omega, charge: honest(spin, anyon.project(omega)[0], charge),
+    )
+    recurrence, rotation = _rotation_claims()
+    assert not recurrence.passed and not rotation.passed
+    # the prefactor is trivial at s = 0, so those rows stay exact
+    for row in rotation.rows + recurrence.rows:
+        if "-s0-" in row.case_id:
+            assert row.abs_error < 1e-12
+
+
+def test_hs_dichotomy_fails_with_steeper_sawtooth(monkeypatch):
+    assert acceptance.check_hs_dichotomy().passed
+    honest = acceptance.sawtooth_coefficients
+
+    def steeper(n_max):
+        # coefficients falling as k^(-3/2) in place of 1/k
+        exact = honest(n_max)
+        k = np.maximum(np.abs(np.arange(-n_max, n_max + 1)), 1)
+        return from_coefficients(exact.coefficients / np.sqrt(k), n_max)
+
+    monkeypatch.setattr(acceptance, "sawtooth_coefficients", steeper)
+    planted = acceptance.check_hs_dichotomy()
+    assert not planted.passed and planted.margin < 0
+
+
+def test_winding_algebra_fails_when_negative_separations_are_off_by_one(monkeypatch):
+    assert acceptance.check_winding_algebra().passed
+    honest = covering.winding_number
+    monkeypatch.setattr(
+        covering, "winding_number", lambda omega: honest(omega) + (1 if omega < 0 else 0)
+    )
+    planted = acceptance.check_winding_algebra()
+    assert not planted.passed and planted.margin < 0
 
 
 # ------------------------------------------------------------ gate soundness

@@ -9,20 +9,20 @@ from anyoncircle.anyon import (
     AnyonSpec,
     ExchangeContext,
     aux_predicted_phase,
-    blip_multiplier,
     build_field,
     predicted_phase,
+    blip_multiplier,
+    field_elements,
     rotation_rep,
-    rotation_sector_scalar,
     verify_aux_commutation,
     verify_commutation,
-    verify_spin_recurrence,
+    verify_rotation_covariance,
 )
 from anyoncircle.blip import standard_mollifier
 from anyoncircle.covering import TWO_PI, CoveringInterval, CoveringPoint
 from anyoncircle import fock
 from anyoncircle.errors import OverlapError, ResourceLimit, WindowTooSmall
-from anyoncircle.fock import FockBasis, implementer_exp, implementer_shift
+from anyoncircle.fock import FockBasis, implementer_exp, implementer_shift, pattern_probes
 from anyoncircle.modes import ModeWindow, OneParticleOperator, shift_operator
 
 # base geometry used throughout: projected separation well clear of both
@@ -117,29 +117,41 @@ def _forbid_fock_basis(monkeypatch):
     monkeypatch.setattr(fock.FockBasis, "__init__", refuse)
 
 
-def test_resource_limits_raise_before_allocating(monkeypatch):
-    spec = AnyonSpec(0.25, CoveringPoint(1.0), standard_mollifier(0.5))
-    with pytest.raises(ResourceLimit):
-        FockBasis(ModeWindow(13))
-    # M = 9 stays under the basis cap but past the full-space bilinear cap
-    for cutoff, build in ((9, fock.dgamma), (6, lambda a, b: implementer_exp(a, 0.5, b))):
-        window = ModeWindow(cutoff)
-        basis = FockBasis(window)
+def test_resource_limits_raise_before_allocating():
+    # one dense limit: the Fock basis stops at dimension 2048 (M = 5), and
+    # dgamma, implementer_exp and build_field all need a basis, so none of
+    # them is reachable past it
+    assert FockBasis(ModeWindow(5)).dim == 2048
+    for cutoff in (6, 40):
+        # at M = 40 any allocation of the 2^81 basis would fail otherwise
         with pytest.raises(ResourceLimit):
-            build(OneParticleOperator(window, np.eye(window.size)), basis)
-    _forbid_fock_basis(monkeypatch)
+            FockBasis(ModeWindow(cutoff))
+    spec = AnyonSpec(0.25, CoveringPoint(1.0), standard_mollifier(0.5))
     with pytest.raises(ResourceLimit):
         build_field(spec, ModeWindow(6))
     assert issubclass(ResourceLimit, ValueError)
 
 
 def test_rotation_scalar_exact_at_two_pi():
+    # base reduction makes the free factor of U(2 pi) the identity, so U(2 pi)
+    # is the scalar exp(2 pi i s q^2) on every charge sector
     basis = FockBasis(ModeWindow(4))
     for spin in (0.5, 0.25, -0.5):
+        diag = rotation_rep(TWO_PI, spin, basis).matrix.diagonal()
         for q in (-2, 0, 3):
-            scalar, spread = rotation_sector_scalar(spin, basis, q)
-            assert spread == 0.0
-            assert abs(scalar - np.exp(2j * np.pi * spin * q * q)) < 1e-12
+            block = diag[basis.sector_masks(q)]
+            assert np.all(block == block[0])
+            assert abs(block[0] - np.exp(2j * np.pi * spin * q * q)) < 1e-12
+
+
+def test_diagonal_apply_uses_sector_theta():
+    w = ModeWindow(3)
+    basis = FockBasis(w)
+    q, spin, omega = 1, 0.3, 0.61
+    masks = basis.sector_masks(q)
+    diag = np.diag(rotation_rep(omega, spin, basis).to_dense()[np.ix_(masks, masks)])
+    expected = np.exp(1j * spin * omega * q * q) * np.exp(-1j * omega * basis.theta[masks])
+    assert np.max(np.abs(diag - expected)) < 1e-14
 
 
 def test_rotation_rep_group_law():
@@ -287,16 +299,56 @@ def test_aux_relation_converges():
 
 
 def test_spin_recurrence_and_sector_fit():
-    for spin in (0.25, 0.0):
-        report = verify_spin_recurrence(
-            spin, CoveringPoint(BASE1), standard_mollifier(EPS1), ModeWindow(4)
+    # the full turn: the field at omega + 2 pi is the field at omega times
+    # exp(2 pi i s (2q+1)) on each charge sector q
+    turns = verify_rotation_covariance(
+        (0.25, 0.0), CoveringPoint(BASE1), standard_mollifier(EPS1), ModeWindow(4), (TWO_PI,)
+    )
+    for turn in turns:
+        assert sorted(turn.fresh) == [-2, -1, 0, 1, 2]
+        assert turn.error < 1e-12
+        for q, fresh in turn.fresh.items():
+            phase = np.exp(2j * np.pi * turn.spin * (2 * q + 1))
+            assert np.max(np.abs(fresh - phase * turn.plain[q])) < 1e-12
+
+
+def _probes(window, charges=(-1, 0, 1), cap=6):
+    return {
+        q: tuple(
+            np.asarray(pattern_probes(window, c, band=2, margin=0, cap=cap), dtype=np.int64)
+            for c in (q + 1, q)
         )
-        assert report.recurrence_residual < 1e-12
-        assert report.fit_residual < 1e-12
-        assert report.max_sector_spread == 0.0
-        for q in report.charges:
-            measured = report.conjugation_phases[q]
-            assert abs(measured - report.predicted_phases[q]) < 1e-12
+        for q in charges
+    }
+
+
+def test_field_elements_match_dense_field():
+    # the charged minors against the materialized field: full symbol and
+    # dense exp(i lambda dG) there, mean-dropped symbol and exact restore here
+    w = ModeWindow(4)
+    basis = FockBasis(w)
+    probes = _probes(w)
+    for spin, omega in ((0.25, BASE1), (-0.5, BASE1 - TWO_PI), (0.5, BASE2 + 2 * TWO_PI)):
+        spec = AnyonSpec(spin, CoveringPoint(omega), standard_mollifier(EPS1))
+        dense = build_field(spec, w).operator.to_dense()
+        beta = blip_multiplier(spec.mollifier, w, spec.omega.base)
+        minors = field_elements(spin, omega, beta, w, probes)
+        for q, (rows, cols) in probes.items():
+            assert np.max(np.abs(minors[q] - dense[np.ix_(rows, cols)])) < 1e-12
+
+
+def test_rotation_covariance_exact_at_every_window(monkeypatch):
+    # the identity needs no interior probes and no Fock basis: M = 2 is all
+    # edge, M = 16 is past the dense limit
+    _forbid_fock_basis(monkeypatch)
+    angles = (0.37, TWO_PI, -TWO_PI + 0.37, 3 * TWO_PI - 1.1)
+    for cutoff in (2, 16):
+        results = verify_rotation_covariance(
+            (0.5, 0.0, 0.25, -0.5, 0.37), CoveringPoint(BASE2), standard_mollifier(EPS2),
+            ModeWindow(cutoff), angles,
+        )
+        assert len(results) == 20
+        assert max(r.error for r in results) < 1e-13
 
 
 def test_exchange_context_needs_no_fock_basis(monkeypatch):

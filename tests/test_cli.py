@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from anyoncircle.cli import CSV_HEADER, _job_count, main, run_tasks, write_summary
+from anyoncircle import fock
+from anyoncircle.cli import CSV_HEADER, _job_count, load_campaign, main, run_tasks, write_summary
 from anyoncircle.acceptance import (
     CLAIM_IDS,
     CriterionResult,
@@ -165,6 +166,17 @@ def test_spin_statistics_exit_zero(capsys):
     assert "PASS thm1-recurrence" in capsys.readouterr().out
 
 
+def test_spin_statistics_runs_past_the_dense_limit(monkeypatch, capsys):
+    # the covariance rows are minors of the field: no Fock basis at M = 16
+    def refuse(self, window):
+        raise AssertionError(f"FockBasis built at M={window.cutoff}")
+
+    monkeypatch.setattr(fock.FockBasis, "__init__", refuse)
+    assert main(["spin-statistics", "--spin", "0.25", "--cutoff", "16"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS thm1-recurrence" in out and "recurrence-s0.25-covariance" in out
+
+
 def test_special_cases_exit_zero(capsys):
     assert main(["special-cases"]) == 0
     out = capsys.readouterr().out
@@ -292,14 +304,24 @@ def test_report_rejects_negative_counts(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0, 1e9, 300.0])
 def test_report_rejects_bad_threshold_scale(tmp_path, capsys, scale):
-    # a NaN scale makes every calibrated exchange bound NaN
+    # a NaN scale makes every calibrated exchange bound NaN; from 251.5 on
+    # every calibrated bound is at least 2, the largest error between two
+    # unit phases, so only the exact spin-1/2 rows would still be checked
     cfg = _write_cfg(tmp_path, scale=scale)
     assert main(["report", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "threshold_scale" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale", [4.0, 250.0])
+def test_threshold_scale_below_the_ceiling_loads(tmp_path, scale):
+    # 4.0 is the smoke schedule's scale; it lifts the -1/2 adjoint bound to
+    # 2.79 while the other calibrated bounds stay below 2
+    campaign = load_campaign(_write_cfg(tmp_path, scale=scale))
+    assert campaign.settings.exchange_threshold_scale == scale
 
 
 def test_report_rejects_missing_file(tmp_path, capsys):
