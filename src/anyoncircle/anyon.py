@@ -30,7 +30,7 @@ import numpy as np
 from .blip import Mollifier, blip
 from .covering import TWO_PI, CoveringInterval, CoveringPoint, project, relative_winding
 from .errors import WindowTooSmall
-from .exterior import dressing_unitary, require_mask_window, shift_sign, wedge_elements
+from .exterior import dressing_unitary, shift_sign, wedge_elements
 from .fock import (
     FockBasis,
     FockOperator,
@@ -81,12 +81,13 @@ class AnyonField:
     coefficient_tail: float
 
 
-def _resolvability_guard(epsilon: float, window: ModeWindow, grid_size: int) -> None:
-    threshold = max(TWO_PI / grid_size, 1.0 / window.size)
+def _resolvability_guard(epsilon: float, window: ModeWindow) -> None:
+    grid = window.default_grid()
+    threshold = max(TWO_PI / grid, 1.0 / window.size)
     if epsilon < threshold:
         raise WindowTooSmall(
             f"mollifier scale {epsilon:.4g} below the resolvable scale "
-            f"{threshold:.4g} for M={window.cutoff}, grid {grid_size}"
+            f"{threshold:.4g} for M={window.cutoff}, grid {grid}"
         )
 
 
@@ -94,7 +95,6 @@ def blip_multiplier(
     mollifier: Mollifier,
     window: ModeWindow,
     center_base: float,
-    grid_size: int | None = None,
     drop_mean: bool = True,
 ) -> np.ndarray:
     """Window matrix of multiplication by the recentered smeared sawtooth.
@@ -103,9 +103,8 @@ def blip_multiplier(
     part second-quantizes to the charge phase exp(i lambda pi Q) and is
     restored exactly by the callers.
     """
-    grid = window.default_grid() if grid_size is None else grid_size
-    _resolvability_guard(mollifier.epsilon, window, grid)
-    alpha = blip(mollifier, window, grid)
+    _resolvability_guard(mollifier.epsilon, window)
+    alpha = blip(mollifier, window, window.default_grid())
     shifted = alpha.periodic.shifted(center_base)
     mat = multiplication_operator(shifted, window).matrix.copy()
     if drop_mean:
@@ -129,11 +128,10 @@ def charge_prefactor(spin: float, omega: float, charge) -> np.ndarray:
     return np.exp(1j * spin * omega * (2.0 * q - 1.0))
 
 
-def build_field(spec: AnyonSpec, window: ModeWindow, grid_size: int | None = None) -> AnyonField:
+def build_field(spec: AnyonSpec, window: ModeWindow) -> AnyonField:
     """Materialized field operator; dense construction, small windows only."""
     basis = FockBasis(window)
-    grid = window.default_grid() if grid_size is None else grid_size
-    _resolvability_guard(spec.mollifier.epsilon, window, grid)
+    _resolvability_guard(spec.mollifier.epsilon, window)
     omega = spec.omega.omega
     base = spec.omega.base
 
@@ -144,12 +142,12 @@ def build_field(spec: AnyonSpec, window: ModeWindow, grid_size: int | None = Non
     if coupling == 0.0:
         dressing_mat: np.ndarray | sp.spmatrix = sp.identity(basis.dim, dtype=complex, format="csr")
     else:
-        full_symbol = blip_multiplier(spec.mollifier, window, base, grid, drop_mean=False)
+        full_symbol = blip_multiplier(spec.mollifier, window, base, drop_mean=False)
         dressing = implementer_exp(OneParticleOperator(window, full_symbol), coupling, basis)
         dressing_mat = dressing.matrix
     mat = pre @ (shift_impl.matrix @ (u0q @ dressing_mat))
     operator = FockOperator(basis, mat)
-    tail = coefficient_tail(spec.mollifier, window, grid)
+    tail = coefficient_tail(spec.mollifier, window)
     return AnyonField(spec, operator, spec.localization, tail)
 
 
@@ -209,11 +207,11 @@ class ExchangeContext:
     """Exchange measurement for one base geometry on one window.
 
     Holds the two mean-dropped dressing symbols and the probe states as
-    occupation bitmasks; `measure` produces element tables for a list of
-    spins as minor determinants, and the phase extractors rescale those
-    tables by the exact charge-prefactor scalars, so winding sweeps and
-    both pairings reuse one table.  No Fock basis is built, so the window
-    is limited only by the bitmask width.
+    raw-slot arrays; `measure` produces element tables for a list of spins
+    as minor determinants, and the phase extractors rescale those tables by
+    the exact charge-prefactor scalars, so winding sweeps and both pairings
+    reuse one table.  No Fock basis is built, so the window is limited only
+    by the byte budget of the minors (see ``exterior``).
     """
 
     def __init__(
@@ -227,35 +225,25 @@ class ExchangeContext:
         v_cap: int = 64,
         w_cap: int = 64,
         band: int = 2,
-        grid_size: int | None = None,
         floor: float = 1e-10,
     ):
         if not window.size >= 5:
             raise ValueError("exchange measurements need cutoff M >= 2")
-        require_mask_window(window)
         self.window = window
         self.base1 = point1.base
         self.base2 = point2.base
         self.eps1 = mollifier1.epsilon
         self.eps2 = mollifier2.epsilon
         self.floor = floor
-        self.beta1 = blip_multiplier(mollifier1, window, self.base1, grid_size)
-        self.beta2 = blip_multiplier(mollifier2, window, self.base2, grid_size)
-        self.v_groups: dict[int, np.ndarray] = {}
-        self.w_product: dict[int, np.ndarray] = {}
-        self.w_adjoint: dict[int, np.ndarray] = {}
         # pattern probes keep the same physical states at every cutoff, so
-        # error-vs-M curves track element convergence, not probe churn
-        for q in probe_charges:
-            self.v_groups[q] = np.asarray(
-                pattern_probes(window, q, band=band, cap=v_cap), dtype=np.int64
-            )
-            self.w_product[q] = np.asarray(
-                pattern_probes(window, q + 2, band=band, cap=w_cap), dtype=np.int64
-            )
-            self.w_adjoint[q] = np.asarray(
-                pattern_probes(window, q, band=band, cap=w_cap), dtype=np.int64
-            )
+        # error-vs-M curves track element convergence, not probe churn; they
+        # come first, so a window past the minor budget allocates nothing
+        charges = probe_charges
+        self.v_groups = {q: pattern_probes(window, q, band=band, cap=v_cap) for q in charges}
+        self.w_product = {q: pattern_probes(window, q + 2, band=band, cap=w_cap) for q in charges}
+        self.w_adjoint = {q: pattern_probes(window, q, band=band, cap=w_cap) for q in charges}
+        self.beta1 = blip_multiplier(mollifier1, window, self.base1)
+        self.beta2 = blip_multiplier(mollifier2, window, self.base2)
 
     def measure(self, spins: list[float]) -> dict:
         """Element tables for every spin and probe charge.
@@ -514,12 +502,11 @@ def verify_rotation_covariance(
     """
     probes = {
         q: tuple(
-            np.asarray(pattern_probes(window, c, band=2, margin=0, cap=cap), dtype=np.int64)
-            for c, cap in ((q + 1, 32), (q, 8))
+            pattern_probes(window, c, band=2, margin=0, cap=cap) for c, cap in ((q + 1, 32), (q, 8))
         )
         for q in range(-2, 3)
     }
-    weights = {q: [rotation_weights(m, window) for m in pair] for q, pair in probes.items()}
+    weights = {q: [rotation_weights(slots, window) for slots in pair] for q, pair in probes.items()}
     omega1 = point.omega
     plain_beta = blip_multiplier(mollifier, window, point.base)
     fresh_betas = {w: blip_multiplier(mollifier, window, project(omega1 + w)[0]) for w in omegas}

@@ -55,6 +55,7 @@ from .cones import (
 )
 from .covering import CoveringInterval, CoveringPoint, projections_disjoint, relative_winding
 from .errors import AnyonCircleError
+from .fock import FockBasis
 from .modes import ModeWindow, hs_offdiag_norm_sq, multiplication_operator
 from .schwinger import schwinger_blip_closed_form, schwinger_quadrature
 
@@ -228,6 +229,19 @@ def _count(text: str) -> int:
     return value
 
 
+def _dense_cutoff(text: str) -> int:
+    value = int(text)
+    FockBasis(ModeWindow(value))  # raises before allocating past the dense limit
+    return value
+
+
+def _hs_cutoffs(text: str) -> list[int]:
+    values = _int_list(text)
+    if not values or values[0] == values[-1]:
+        raise ValueError("the sawtooth slope needs a first and a last cutoff that differ")
+    return values
+
+
 def _scale(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -283,13 +297,13 @@ def load_campaign(path: Path) -> Campaign:
             lambda t: _parse_int_tuple(t, "[schwinger] cutoffs"), base.schwinger_cutoffs,
         ),
         hs_epsilon=get("hs", "epsilon", float, base.hs_epsilon),
-        hs_cutoffs=get(
-            "hs", "cutoffs", lambda t: _parse_int_tuple(t, "[hs] cutoffs"), base.hs_cutoffs
-        ),
-        implementer_cutoff=get("implementer", "cutoff", int, base.implementer_cutoff),
+        hs_cutoffs=get("hs", "cutoffs", lambda t: tuple(_hs_cutoffs(t)), base.hs_cutoffs),
+        implementer_cutoff=get("implementer", "cutoff", _dense_cutoff, base.implementer_cutoff),
         recurrence_cutoff=get("recurrence", "cutoff", int, base.recurrence_cutoff),
         rotation_cutoff=get("rotation", "cutoff", int, base.rotation_cutoff),
-        rotation_dense_cutoff=get("rotation", "dense_cutoff", int, base.rotation_dense_cutoff),
+        rotation_dense_cutoff=get(
+            "rotation", "dense_cutoff", _dense_cutoff, base.rotation_dense_cutoff
+        ),
         cone_scan_pairs=get("cones", "scan_pairs", _count, base.cone_scan_pairs),
         cone_scan_seed=get("cones", "scan_seed", int, base.cone_scan_seed),
         winding_pairs=get("winding", "pairs", _count, base.winding_pairs),
@@ -632,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hs-norm", help="windowed HS dichotomy: mollified vs raw sawtooth")
     p.add_argument("--epsilon", type=float, default=0.3)
-    p.add_argument("--cutoffs", type=_int_list, default=[8, 16, 32, 64])
+    p.add_argument("--cutoffs", type=_hs_cutoffs, default=[8, 16, 32, 64])
     p.set_defaults(handler=cmd_hs_norm)
 
     p = sub.add_parser("schwinger", help="pairing quadrature against the closed form")

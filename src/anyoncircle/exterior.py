@@ -12,15 +12,17 @@ implementer of the field into such minors:
     exp(i t dG(A)) = exp(-i t tr A--) Lambda(exp(i t A)),
     G = (-1)^(M+q) c*_(-M) Lambda(V)   on the charge-q sector,
 
-with c*_(-M) the creator of the bottom window slot.  The only bookkeeping
-is a +-1 gauge sign per state: the bitmask state with ascending set slots
+with c*_(-M) the creator of the bottom window slot.  A state is carried as
+what the minors index, its ascending raw slots, and the only bookkeeping is
+a +-1 gauge sign per state: the state with ascending occupied slots
 s1 < ... < sk is d*_s1 ... d*_sk |sea>, where d* = c on a minus slot and
 d* = c* on a plus slot, and reordering that product into the ascending raw
-wedge gives the sign (-1)^(sum of hole slots + M * particles).
+wedge gives (-1)^(sum of hole slots + M * particles); the hole slots sum to
+M(M-1)/2 minus the raw minus slots.
 
-Every function takes occupation bitmasks of one charge per argument and
-never enumerates the 2^(2M+1) basis, so the cost is set by the probe
-counts and the minor size q + M, not by the Fock dimension.
+Every function takes raw-slot arrays of one charge, one row per state, and
+never enumerates the 2^(2M+1) basis, so the cost is set by the probe counts
+and the minor size q + M, not by the Fock dimension.
 """
 
 from __future__ import annotations
@@ -31,41 +33,29 @@ from scipy.linalg import expm
 from .errors import NotHermitian, ResourceLimit
 from .modes import ModeWindow
 
-# int64 occupation masks, sign bit kept clear
-_MASK_BITS = 62
+# bytes of the largest array one minor computation may build
+_MINOR_BUDGET_BYTES = 1 << 27
 
 
-def gauge_signs(masks: np.ndarray, window: ModeWindow) -> np.ndarray:
-    """+-1 per state relating its bitmask vector to its ascending raw wedge."""
-    masks = np.asarray(masks, dtype=np.int64)
-    minus_bits = np.int64((1 << window.n_minus) - 1)
-    holes = masks & minus_bits
-    hole_slot_sum = np.zeros(masks.shape, dtype=np.int64)
-    for j in range(window.n_minus):
-        hole_slot_sum += ((holes >> j) & 1) * j
-    particles = np.bitwise_count(masks & ~minus_bits).astype(np.int64)
-    parity = (hole_slot_sum + window.n_minus * particles) & 1
+def gauge_signs(slots: np.ndarray, window: ModeWindow) -> np.ndarray:
+    """+-1 per state relating its occupation vector to its ascending raw wedge."""
+    m = window.n_minus
+    sea = np.where(slots < m, slots, 0).sum(axis=1)
+    particles = np.count_nonzero(slots >= m, axis=1)
+    parity = (m * (m - 1) // 2 - sea + m * particles) & 1
     return 1.0 - 2.0 * parity
 
 
-def require_mask_window(window: ModeWindow) -> None:
-    """Raise when the window's slots do not fit an int64 occupation mask."""
-    if window.size > _MASK_BITS:
+def require_minor_budget(window: ModeWindow, pairs: int, order: int) -> None:
+    """Raise if the largest complex array of a minor computation, the stack
+    of ``pairs`` minors of the given order or a one-particle matrix of the
+    window, would pass the budget."""
+    need = 16 * max(pairs * order * order, window.size**2)
+    if need > _MINOR_BUDGET_BYTES:
         raise ResourceLimit(
-            f"occupation bitmasks hold {_MASK_BITS} slots; M={window.cutoff} needs {window.size}"
+            f"minors at M={window.cutoff} need a {need / 2**20:.0f} MiB array; "
+            f"the budget is {_MINOR_BUDGET_BYTES >> 20} MiB"
         )
-
-
-def raw_slots(masks: np.ndarray, window: ModeWindow) -> np.ndarray:
-    """Ascending raw occupied slots, one row per state; all of one charge."""
-    require_mask_window(window)
-    masks = np.asarray(masks, dtype=np.int64)
-    raw = masks ^ np.int64((1 << window.n_minus) - 1)
-    bits = (raw[:, None] >> np.arange(window.size, dtype=np.int64)) & 1
-    counts = bits.sum(axis=1)
-    if np.any(counts != counts[0]):
-        raise ValueError("raw slot lists need states of one charge")
-    return np.nonzero(bits)[1].reshape(masks.size, int(counts[0]))
 
 
 def wedge_elements(
@@ -75,26 +65,23 @@ def wedge_elements(
     window: ModeWindow,
     creations: int = 0,
 ) -> np.ndarray:
-    """<row| c*_0 ... c*_(p-1) Lambda(matrix) |col> in the bitmask basis.
+    """<row| c*_0 ... c*_(p-1) Lambda(matrix) |col> between raw-slot states.
 
     The p = ``creations`` creators of the bottom slots ride along as unit
     columns in front of the matrix, so every element is one square minor
     of size (raw slots of a row state); row states must carry p more charge
     than column states.  All minors go through one batched determinant.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    r_slots = raw_slots(rows, window)
-    c_slots = raw_slots(cols, window)
-    if r_slots.shape[1] != c_slots.shape[1] + creations:
+    if rows.shape[1] != cols.shape[1] + creations:
         raise ValueError("row and column charges differ by other than the creation count")
+    require_minor_budget(window, rows.shape[0] * cols.shape[0], rows.shape[1])
     padded = np.concatenate(
         [np.eye(window.size, creations, dtype=complex), np.asarray(matrix, dtype=complex)],
         axis=1,
     )
-    lead = np.broadcast_to(np.arange(creations), (cols.size, creations))
-    c_index = np.concatenate([lead, c_slots + creations], axis=1)
-    minors = padded[r_slots[:, None, :, None], c_index[None, :, None, :]]
+    lead = np.broadcast_to(np.arange(creations), (cols.shape[0], creations))
+    c_index = np.concatenate([lead, cols + creations], axis=1)
+    minors = padded[rows[:, None, :, None], c_index[None, :, None, :]]
     signs = gauge_signs(rows, window)[:, None] * gauge_signs(cols, window)[None, :]
     return signs * np.linalg.det(minors)
 

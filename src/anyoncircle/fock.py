@@ -30,6 +30,7 @@ from .errors import (
     WindowTooSmall,
     WrongClass,
 )
+from .exterior import require_minor_budget
 from .modes import ModeWindow, OneParticleOperator
 
 _DENSE_DIM_LIMIT = 2048
@@ -39,30 +40,12 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr).astype(np.int64)
 
 
-def occupation_mask(
-    window: ModeWindow, plus_modes: Iterable[int] = (), minus_modes: Iterable[int] = ()
-) -> int:
-    """Bitmask of the state with the given particle and antiparticle modes."""
-    mask = 0
-    for n in plus_modes:
-        if n < 0:
-            raise ValueError("particle modes must be >= 0")
-        mask |= 1 << window.slot(n)
-    for n in minus_modes:
-        if n >= 0:
-            raise ValueError("antiparticle modes must be < 0")
-        mask |= 1 << window.slot(n)
-    return mask
-
-
-def rotation_weights(masks: np.ndarray, window: ModeWindow) -> np.ndarray:
-    """theta per bitmask state, the sum of |mode| over occupied slots; the
-    free rotation acts on a state as exp(-i omega theta)."""
-    masks = np.asarray(masks, dtype=np.int64)
-    theta = np.zeros(masks.shape, dtype=np.int64)
-    for j in range(window.size):
-        theta += ((masks >> j) & 1) * abs(j - window.n_minus)
-    return theta
+def rotation_weights(slots: np.ndarray, window: ModeWindow) -> np.ndarray:
+    """theta per raw-slot state, the sum of |mode| over particles and holes;
+    the free rotation acts on a state as exp(-i omega theta).  Each raw slot
+    s adds s - M, and the filled sea alone would give -M(M+1)/2."""
+    m = window.n_minus
+    return slots.sum(axis=1) - m * slots.shape[1] + m * (m + 1) // 2
 
 
 class FockBasis:
@@ -86,13 +69,36 @@ class FockBasis:
         self.charges = (
             _popcount(masks & self.plus_bits) - _popcount(masks & self.minus_bits)
         ).astype(np.int8)
-        self.theta = rotation_weights(masks, window)
+        self.theta = np.zeros(dim, dtype=np.int64)
+        for q in np.unique(self.charges):
+            sector = self.sector_masks(int(q))
+            self.theta[sector] = rotation_weights(self.raw_slots(sector), window)
 
     def slot(self, mode: int) -> int:
         return self.window.slot(mode)
 
     def mask_of(self, plus_modes: Iterable[int] = (), minus_modes: Iterable[int] = ()) -> int:
-        return occupation_mask(self.window, plus_modes, minus_modes)
+        """Mask of the state with the given particle and antiparticle modes."""
+        mask = 0
+        for n in plus_modes:
+            if n < 0:
+                raise ValueError("particle modes must be >= 0")
+            mask |= 1 << self.slot(n)
+        for n in minus_modes:
+            if n >= 0:
+                raise ValueError("antiparticle modes must be < 0")
+            mask |= 1 << self.slot(n)
+        return mask
+
+    def raw_slots(self, masks: np.ndarray) -> np.ndarray:
+        """Raw-slot rows (see ``exterior``) of states of one charge: the one
+        conversion from masks to the states of the minor route."""
+        raw = np.asarray(masks, dtype=np.int64) ^ self.minus_bits
+        bits = (raw[:, None] >> np.arange(self.window.size)) & 1
+        counts = bits.sum(axis=1)
+        if np.any(counts != counts[0]):
+            raise ValueError("raw slot lists need states of one charge")
+        return np.nonzero(bits)[1].reshape(raw.size, int(counts[0]))
 
     def sector_masks(self, charge: int) -> np.ndarray:
         masks = np.nonzero(self.charges == charge)[0].astype(np.int64)
@@ -477,23 +483,9 @@ def truncation_safe_probes(
         allowed |= 1 << basis.slot(n)
     masks = np.arange(basis.dim, dtype=np.int64)
     safe = (masks & ~np.int64(allowed)) == 0
-    per_charge: list[list[int]] = []
-    for q in charges:
-        sel = safe & (basis.charges == q)
-        per_charge.append([int(x) for x in masks[sel]])
-    picked: list[int] = []
-    idx = 0
-    while len(picked) < cap:
-        progressed = False
-        for lst in per_charge:
-            if idx < len(lst):
-                picked.append(lst[idx])
-                progressed = True
-                if len(picked) >= cap:
-                    break
-        if not progressed:
-            break
-        idx += 1
+    per_charge = [masks[safe & (basis.charges == q)].tolist() for q in charges]
+    rounds = itertools.zip_longest(*per_charge)
+    picked = [mask for group in rounds for mask in group if mask is not None][:cap]
     if not picked:
         raise NoSignificantEntries("no probes available for the requested charges")
     return picked
@@ -505,15 +497,17 @@ def pattern_probes(
     band: int = 2,
     margin: int = 2,
     cap: int = 64,
-) -> list[int]:
-    """Charge-q probes built from a window-independent mode band.
+) -> np.ndarray:
+    """Charge-q probes built from a window-independent mode band, as raw slots.
 
     Enumerates every occupation pattern whose particle modes lie in
     {0..band} and whose hole modes lie in {-band..-1}, ordered by total
     mode energy sum(|n|) and then by the mode tuple, so the k-th probe is
     the same physical state at every cutoff M >= band + margin.  That
     stability is what makes element tables comparable across a cutoff
-    sweep; mask-ordered probes reshuffle patterns whenever M changes.
+    sweep.  Row k holds the ascending raw slots of probe k (see
+    ``exterior``): the sea slots 0..M-1 without the holes, then the
+    particle slots.
     """
     if band + margin > window.cutoff:
         raise WindowTooSmall(
@@ -521,7 +515,7 @@ def pattern_probes(
         )
     plus_pool = list(range(0, band + 1))
     minus_pool = list(range(-1, -band - 1, -1))
-    entries: list[tuple[int, tuple[int, ...], int]] = []
+    entries = []
     for n_plus in range(len(plus_pool) + 1):
         n_minus = n_plus - charge
         if n_minus < 0 or n_minus > len(minus_pool):
@@ -530,12 +524,22 @@ def pattern_probes(
             for minus in itertools.combinations(minus_pool, n_minus):
                 energy = sum(plus) + sum(-n for n in minus)
                 key = tuple(sorted(plus) + sorted(-n for n in minus))
-                entries.append((energy, key, occupation_mask(window, plus, minus)))
+                entries.append((energy, key, plus, minus))
     entries.sort(key=lambda item: (item[0], item[1]))
-    picked = [mask for _, _, mask in entries[:cap]]
+    picked = entries[:cap]
     if not picked:
         raise NoSignificantEntries(f"no band-{band} patterns exist at charge {charge}")
-    return picked
+    m = window.cutoff
+    # every probe enters at least one minor: refuse the window before any
+    # blip symbol or one-particle matrix of it is built
+    require_minor_budget(window, len(picked), m + charge)
+    return np.array(
+        [
+            [j for j in range(m) if j - m not in minus] + [n + m for n in plus]
+            for _, _, plus, minus in picked
+        ],
+        dtype=np.int64,
+    )
 
 
 def probe_matrix(basis: FockBasis, probe_masks: Sequence[int]) -> np.ndarray:

@@ -212,7 +212,7 @@ def test_rotation_claims_fail_on_noise_elements(monkeypatch):
     rng = np.random.default_rng(11)
 
     def noise(matrix, rows, cols, window, creations=0):
-        shape = (np.size(rows), np.size(cols))
+        shape = (len(rows), len(cols))
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     monkeypatch.setattr(anyon, "wedge_elements", noise)

@@ -37,6 +37,13 @@ def _specs(spin, winding1=0, winding2=0):
     return s1, s2
 
 
+def _masks(basis, slots):
+    """Dense basis masks of raw-slot probe states, looked up through basis.raw_slots."""
+    sector = basis.sector_masks(slots.shape[1] - basis.window.n_minus)
+    table = basis.raw_slots(sector)
+    return np.array([sector[np.all(table == row, axis=1)][0] for row in slots])
+
+
 def _context(cutoff, v_cap=6, w_cap=6):
     return ExchangeContext(
         ModeWindow(cutoff),
@@ -196,8 +203,9 @@ def test_staged_tables_match_dense_same_arrangement():
     b2 = implementer_exp(OneParticleOperator(w, ctx.beta2), lam, basis).to_dense()
     q = 0
     restore = np.exp(2j * lam * math.pi * q)  # dropped symbol means, twice
-    ixp = np.ix_(ctx.w_product[q], ctx.v_groups[q])
-    ixa = np.ix_(ctx.w_adjoint[q], ctx.v_groups[q])
+    v = _masks(basis, ctx.v_groups[q])
+    ixp = np.ix_(_masks(basis, ctx.w_product[q]), v)
+    ixa = np.ix_(_masks(basis, ctx.w_adjoint[q]), v)
     entry = tables[spin][q]
     assert np.max(np.abs(entry["fw"] - restore * (g @ g @ b1 @ b2)[ixp])) < 1e-12
     assert np.max(np.abs(entry["rv"] - restore * (g @ g @ b2 @ b1)[ixp])) < 1e-12
@@ -218,11 +226,13 @@ def test_rearrangement_defect_is_truncation_error():
         tables = ctx.measure([spin])
         f1 = build_field(spec1, w).operator.to_dense()
         f2 = build_field(spec2, w).operator.to_dense()
-        ixp = np.ix_(ctx.w_product[0], ctx.v_groups[0])
+        basis = FockBasis(w)
+        rows, cols = _masks(basis, ctx.w_product[0]), _masks(basis, ctx.v_groups[0])
         fw, rv = ctx.scaled_elements(tables, spin, BASE1, BASE2, "product")
+        # only the probe rows and columns of the products are needed
         worst = max(
-            np.max(np.abs(fw - (f1 @ f2)[ixp].ravel())),
-            np.max(np.abs(rv - (f2 @ f1)[ixp].ravel())),
+            np.max(np.abs(fw - (f1[rows, :] @ f2[:, cols]).ravel())),
+            np.max(np.abs(rv - (f2[rows, :] @ f1[:, cols]).ravel())),
         )
         defects.append(float(worst))
     assert defects[1] < defects[0]
@@ -314,10 +324,7 @@ def test_spin_recurrence_and_sector_fit():
 
 def _probes(window, charges=(-1, 0, 1), cap=6):
     return {
-        q: tuple(
-            np.asarray(pattern_probes(window, c, band=2, margin=0, cap=cap), dtype=np.int64)
-            for c in (q + 1, q)
-        )
+        q: tuple(pattern_probes(window, c, band=2, margin=0, cap=cap) for c in (q + 1, q))
         for q in charges
     }
 
@@ -334,7 +341,8 @@ def test_field_elements_match_dense_field():
         beta = blip_multiplier(spec.mollifier, w, spec.omega.base)
         minors = field_elements(spin, omega, beta, w, probes)
         for q, (rows, cols) in probes.items():
-            assert np.max(np.abs(minors[q] - dense[np.ix_(rows, cols)])) < 1e-12
+            block = dense[np.ix_(_masks(basis, rows), _masks(basis, cols))]
+            assert np.max(np.abs(minors[q] - block)) < 1e-12
 
 
 def test_rotation_covariance_exact_at_every_window(monkeypatch):
@@ -352,7 +360,7 @@ def test_rotation_covariance_exact_at_every_window(monkeypatch):
 
 
 def test_exchange_context_needs_no_fock_basis(monkeypatch):
-    # M = 16 is past the FockBasis cap; the minors need only probe bitmasks
+    # M = 16 is past the FockBasis cap; the minors need only raw-slot probes
     _forbid_fock_basis(monkeypatch)
     ctx = _context(16, v_cap=4, w_cap=4)
     tables = ctx.measure([0.5, 0.25])
@@ -363,9 +371,19 @@ def test_exchange_context_needs_no_fock_basis(monkeypatch):
     phase, _ = ctx.exchange_phase(tables, 0.5, BASE1, BASE2)
     predicted = predicted_phase(0.5, CoveringInterval(BASE1, EPS1), CoveringInterval(BASE2, EPS2))
     assert abs(phase - predicted) < 1e-12
-    # past M = 30 the window no longer fits an int64 occupation mask
-    with pytest.raises(ResourceLimit):
-        _context(31)
+
+
+def test_exchange_context_runs_past_the_old_mask_width(monkeypatch):
+    # probes are raw-slot arrays, so no 64-bit occupation mask bounds the
+    # window: spin 1/2 stays exact in both pairings at M = 40 and 64
+    _forbid_fock_basis(monkeypatch)
+    intervals = CoveringInterval(BASE1, EPS1), CoveringInterval(BASE2, EPS2)
+    for cutoff in (40, 64):
+        ctx = _context(cutoff, v_cap=8, w_cap=8)
+        tables = ctx.measure([0.5])
+        for pairing in ("product", "adjoint"):
+            phase, _ = ctx.exchange_phase(tables, 0.5, BASE1, BASE2, pairing)
+            assert abs(phase - predicted_phase(0.5, *intervals, pairing)) < 1e-12
 
 
 def test_exchange_context_guards():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from anyoncircle import fock
+from anyoncircle import anyon, fock
 from anyoncircle.cli import CSV_HEADER, _job_count, load_campaign, main, run_tasks, write_summary
 from anyoncircle.acceptance import (
     CLAIM_IDS,
@@ -183,6 +183,38 @@ def test_special_cases_exit_zero(capsys):
     assert out.count("ok") == 4
 
 
+def test_exchange_commands_run_past_the_old_mask_width(capsys):
+    # raw-slot probes carry no 64-bit occupation mask, so M = 64 runs
+    assert main(["special-cases", "--cutoff", "64"]) == 0
+    assert capsys.readouterr().out.count("ok") == 4
+    assert main(
+        ["commutation", "--spin", "0.5", "--omega1", "0.9", "--omega2", "3.9",
+         "--cutoffs", "32,64"]
+    ) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["commutation", "--spin", "0.25", "--omega1", "0.9", "--omega2", "3.9",
+         "--cutoffs", "100000"],
+        ["spin-statistics", "--spin", "0.25", "--cutoff", "100000"],
+    ],
+    ids=["commutation", "spin-statistics"],
+)
+def test_huge_cutoff_exits_2_before_building_the_window(monkeypatch, capsys, argv):
+    # the minor budget is checked on the probes, before any blip symbol or
+    # one-particle matrix of the window exists
+    def refuse(*args, **kwargs):
+        raise AssertionError("a blip multiplier was built")
+
+    monkeypatch.setattr(anyon, "blip_multiplier", refuse)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "MiB" in capsys.readouterr().err
+
+
 def test_hs_norm_emits_data_table(capsys):
     assert main(["hs-norm"]) == 0
     out = capsys.readouterr().out
@@ -322,6 +354,38 @@ def test_threshold_scale_below_the_ceiling_loads(tmp_path, scale):
     # 2.79 while the other calibrated bounds stay below 2
     campaign = load_campaign(_write_cfg(tmp_path, scale=scale))
     assert campaign.settings.exchange_threshold_scale == scale
+
+
+@pytest.mark.parametrize(
+    "line", ["[implementer]\ncutoff = 4", "dense_cutoff = 3"], ids=["implementer", "rotation"]
+)
+def test_report_rejects_dense_cutoffs_past_the_fock_limit(tmp_path, capsys, line):
+    # the dense Fock basis stops at M = 5; past it the claim could only crash
+    text = REDUCED_CFG.format(scale=4.0)
+    assert line in text
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(text.replace(line, line[:-1] + "6"))
+    assert main(["report", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dense Fock basis" in err
+    assert not (tmp_path / "out").exists()
+    cfg.write_text(text.replace(line, line[:-1] + "5"))
+    settings = load_campaign(cfg).settings
+    assert (settings.implementer_cutoff, settings.rotation_dense_cutoff) in ((5, 3), (4, 5))
+
+
+@pytest.mark.parametrize("cutoffs", ["8", "8,8", "8,16,8"])
+def test_report_rejects_hs_cutoffs_without_a_span(tmp_path, capsys, cutoffs):
+    # the sawtooth slope divides by log(last / first)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(REDUCED_CFG.format(scale=4.0) + f"\n[hs]\ncutoffs = {cutoffs}\n")
+    assert main(["report", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[hs] cutoffs" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["hs-norm", "--cutoffs", cutoffs])
+    assert exit_info.value.code == 2
 
 
 def test_report_rejects_missing_file(tmp_path, capsys):

@@ -13,7 +13,7 @@ from anyoncircle.errors import ResourceLimit
 from anyoncircle.exterior import (
     dressing_unitary,
     gauge_signs,
-    raw_slots,
+    require_minor_budget,
     shift_sign,
     wedge_elements,
 )
@@ -32,8 +32,9 @@ def _dressing_pin_error(window, matrix, t, charge):
     basis = FockBasis(window)
     dense = implementer_exp(OneParticleOperator(window, matrix), t, basis).to_dense()
     masks = basis.sector_masks(charge)
+    slots = basis.raw_slots(masks)
     scalar, unitary = dressing_unitary(matrix, t, window)
-    minors = scalar * wedge_elements(unitary, masks, masks, window)
+    minors = scalar * wedge_elements(unitary, slots, slots, window)
     return float(np.max(np.abs(minors - dense[np.ix_(masks, masks)])))
 
 
@@ -43,7 +44,8 @@ def _shift_pin_error(window, charge):
     dense = implementer_shift(shift_operator(window), basis).to_dense()
     src, dst = basis.sector_masks(charge), basis.sector_masks(charge + 1)
     minors = shift_sign(window, charge) * wedge_elements(
-        shift_operator(window).matrix, dst, src, window, creations=1
+        shift_operator(window).matrix, basis.raw_slots(dst), basis.raw_slots(src), window,
+        creations=1,
     )
     return float(np.max(np.abs(minors - dense[np.ix_(dst, src)])))
 
@@ -69,7 +71,10 @@ def test_shift_gauge_alternates_with_charge():
         dense = implementer_shift(shift_operator(window), basis).to_dense()
         for charge in (-1, 0, 1):
             src, dst = basis.sector_masks(charge), basis.sector_masks(charge + 1)
-            bare = wedge_elements(shift_operator(window).matrix, dst, src, window, creations=1)
+            bare = wedge_elements(
+                shift_operator(window).matrix, basis.raw_slots(dst), basis.raw_slots(src),
+                window, creations=1,
+            )
             block = dense[np.ix_(dst, src)]
             nonzero = np.abs(bare) > 0.5
             expected = (-1.0) ** (cutoff + charge)
@@ -81,15 +86,16 @@ def test_shift_gauge_alternates_with_charge():
 def test_zero_time_and_constant_generator():
     window = ModeWindow(3)
     basis = FockBasis(window)
-    masks = basis.sector_masks(1)
+    slots = basis.raw_slots(basis.sector_masks(1))
+    identity = np.eye(len(slots))
     scalar, unitary = dressing_unitary(_random_hermitian(window.size, 5), 0.0, window)
     assert scalar == 1.0
-    assert np.max(np.abs(wedge_elements(unitary, masks, masks, window) - np.eye(masks.size))) == 0.0
+    assert np.max(np.abs(wedge_elements(unitary, slots, slots, window) - identity)) == 0.0
     # a constant generator c second-quantizes to exp(i t c Q): a pure phase per sector
     c, t = 0.77, 1.3
     scalar, unitary = dressing_unitary(c * np.eye(window.size), t, window)
-    elems = scalar * wedge_elements(unitary, masks, masks, window)
-    assert np.max(np.abs(elems - np.exp(1j * t * c) * np.eye(masks.size))) < 1e-14
+    elems = scalar * wedge_elements(unitary, slots, slots, window)
+    assert np.max(np.abs(elems - np.exp(1j * t * c) * identity)) < 1e-14
 
 
 def test_raw_slots_and_gauge_signs():
@@ -98,18 +104,17 @@ def test_raw_slots_and_gauge_signs():
     vacuum = 0
     particle = basis.mask_of(plus_modes=(0,))
     pair = basis.mask_of(plus_modes=(0,), minus_modes=(-1,))
-    assert raw_slots(np.array([vacuum]), window).tolist() == [[0, 1]]
-    assert raw_slots(np.array([particle]), window).tolist() == [[0, 1, 2]]
+    assert basis.raw_slots(np.array([vacuum])).tolist() == [[0, 1]]
+    assert basis.raw_slots(np.array([particle])).tolist() == [[0, 1, 2]]
     # the hole at mode -1 empties slot 1 of the sea
-    assert raw_slots(np.array([pair]), window).tolist() == [[0, 2]]
+    assert basis.raw_slots(np.array([pair])).tolist() == [[0, 2]]
     # (-1)^(hole slot 1 + M * one particle) = -1
-    assert gauge_signs(np.array([vacuum, particle, pair]), window).tolist() == [1.0, 1.0, -1.0]
+    signs = [gauge_signs(np.array([s]), window)[0] for s in ([0, 1], [0, 1, 2], [0, 2])]
+    assert signs == [1.0, 1.0, -1.0]
     with pytest.raises(ValueError):
-        raw_slots(np.array([vacuum, particle]), window)
+        basis.raw_slots(np.array([vacuum, particle]))
     with pytest.raises(ValueError):
-        wedge_elements(np.eye(window.size), np.array([vacuum]), np.array([vacuum]), window, 1)
-    with pytest.raises(ResourceLimit):
-        raw_slots(np.array([0]), ModeWindow(31))
+        wedge_elements(np.eye(window.size), np.array([[0, 1]]), np.array([[0, 1]]), window, 1)
 
 
 def test_gauge_flip_is_invisible_to_ratios_but_caught_by_dense_pin(monkeypatch):
@@ -132,10 +137,9 @@ def test_gauge_flip_is_invisible_to_ratios_but_caught_by_dense_pin(monkeypatch):
 
     honest = exterior.gauge_signs
 
-    def flipped(masks, win):
-        masks = np.asarray(masks, dtype=np.int64)
-        zero_mode = (masks >> win.n_minus) & 1
-        return honest(masks, win) * (1.0 - 2.0 * zero_mode)
+    def flipped(slots, win):
+        zero_mode = np.any(slots == win.n_minus, axis=1)
+        return honest(slots, win) * (1.0 - 2.0 * zero_mode)
 
     monkeypatch.setattr(exterior, "gauge_signs", flipped)
     _, bad_tables, (bad_fw, bad_rv) = measured(4)
@@ -160,7 +164,8 @@ def test_shift_apply_matches_full_implementer_blocks():
             src = basis.sector_masks(q)
             dst = basis.sector_masks(q + 1)
             via_minors = shift_sign(w, q) * wedge_elements(
-                shift_operator(w).matrix, dst, src, w, creations=1
+                shift_operator(w).matrix, basis.raw_slots(dst), basis.raw_slots(src), w,
+                creations=1,
             )
             assert np.max(np.abs(via_minors - forward[np.ix_(dst, src)])) == 0.0
             assert np.max(np.abs(via_minors.conj().T - adjoint[np.ix_(src, dst)])) == 0.0
@@ -170,10 +175,10 @@ def test_shift_apply_vector_shape():
     # one source state gives one column over the target sector
     w = ModeWindow(2)
     basis = FockBasis(w)
-    src = basis.sector_masks(0)[:1]
-    dst = basis.sector_masks(1)
+    src = basis.raw_slots(basis.sector_masks(0)[:1])
+    dst = basis.raw_slots(basis.sector_masks(1))
     out = wedge_elements(shift_operator(w).matrix, dst, src, w, creations=1)
-    assert out.shape == (dst.size, 1)
+    assert out.shape == (len(dst), 1)
 
 
 def test_lift_restrict_roundtrip_and_positions():
@@ -188,5 +193,20 @@ def test_lift_restrict_roundtrip_and_positions():
     assert lifted.shape == (basis.dim, 2)
     # minor rows follow the order the states are given in: Lambda(1) from
     # ascending to reversed states is the reversal permutation
-    reversal = wedge_elements(np.eye(w.size), masks[::-1], masks, w)
+    slots = basis.raw_slots(masks)
+    reversal = wedge_elements(np.eye(w.size), slots[::-1], slots, w)
     assert np.array_equal(reversal, np.eye(masks.size)[::-1])
+
+
+def test_minor_budget_raises_before_allocating():
+    # the stack of one minor per state pair, or a one-particle matrix of
+    # the window, whichever is larger, is held to 128 MiB of complex entries
+    require_minor_budget(ModeWindow(64), 100, 66)
+    with pytest.raises(ResourceLimit):
+        require_minor_budget(ModeWindow(64), 100_000, 66)
+    with pytest.raises(ResourceLimit):
+        require_minor_budget(ModeWindow(100_000), 1, 1)
+    window = ModeWindow(4)
+    rows = np.tile(np.arange(4), (3000, 1))
+    with pytest.raises(ResourceLimit):
+        wedge_elements(np.eye(window.size), rows, rows, window)

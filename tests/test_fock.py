@@ -28,6 +28,7 @@ from anyoncircle.fock import (
     pattern_probes,
     phase_from_elements,
     probe_matrix,
+    rotation_weights,
     second_quantize_diagonal,
     truncation_safe_probes,
 )
@@ -41,6 +42,13 @@ from anyoncircle.modes import (
 
 def _basis(cutoff):
     return FockBasis(ModeWindow(cutoff))
+
+
+def _masks(basis, slots):
+    """Dense basis masks of raw-slot probe states, looked up through basis.raw_slots."""
+    sector = basis.sector_masks(slots.shape[1] - basis.window.n_minus)
+    table = basis.raw_slots(sector)
+    return np.array([sector[np.all(table == row, axis=1)][0] for row in slots])
 
 
 def _constant_phase(window, angle):
@@ -316,16 +324,35 @@ def test_truncation_safe_probes_stay_interior():
 
 
 def test_pattern_probes_are_cutoff_stable():
-    masks4 = pattern_probes(ModeWindow(4), charge=0, band=2, cap=12)
-    masks6 = pattern_probes(ModeWindow(6), charge=0, band=2, cap=12)
+    slots4 = pattern_probes(ModeWindow(4), charge=0, band=2, cap=12)
+    slots6 = pattern_probes(ModeWindow(6), charge=0, band=2, cap=12)
 
-    def decode(window, mask):
-        return tuple(int(n) for n in window.modes if mask >> window.slot(int(n)) & 1)
+    def decode(window, slots):
+        # holes are the sea slots missing from the raw set; particles the rest
+        m = window.cutoff
+        holes = [j - m for j in range(m) if j not in slots]
+        return tuple(sorted(holes + [int(j) - m for j in slots if j >= m]))
 
-    modes4 = [decode(ModeWindow(4), m) for m in masks4]
-    assert modes4 == [decode(ModeWindow(6), m) for m in masks6]
+    modes4 = [decode(ModeWindow(4), row) for row in slots4]
+    assert modes4 == [decode(ModeWindow(6), row) for row in slots6]
     # charge = particles (modes >= 0) minus holes (modes < 0)
     assert all(sum(1 if n >= 0 else -1 for n in modes) == 0 for modes in modes4)
+
+
+def test_theta_from_slots_matches_the_dense_basis():
+    # theta is the sum of |mode| over particles and holes; from the raw
+    # slots it is a slot sum, checked here against the mask bits directly
+    for cutoff in (2, 3, 4, 5):
+        basis = _basis(cutoff)
+        w = basis.window
+        masks = np.arange(basis.dim)
+        occupied = (masks[:, None] >> np.arange(w.size)) & 1
+        direct = occupied @ np.abs(w.modes)
+        assert np.array_equal(basis.theta, direct)
+        for q in range(-cutoff, cutoff + 2):
+            sector = basis.sector_masks(q)
+            theta = rotation_weights(basis.raw_slots(sector), w)
+            assert np.array_equal(theta, direct[sector])
 
 
 def test_pattern_probes_guards():
@@ -346,10 +373,10 @@ def test_phase_from_elements_floor_and_errors():
         phase_from_elements(fw, np.zeros(3), floor=1e-10)
 
 
-def _exchange_phase(x, y, v_masks, w_masks, basis):
+def _exchange_phase(x, y, v_slots, w_slots, basis):
     # median ratio of <w, X Y v> against <w, Y X v> over the probe pairs
-    pv = probe_matrix(basis, v_masks)
-    rows = np.asarray(w_masks, dtype=np.int64)
+    pv = probe_matrix(basis, _masks(basis, v_slots))
+    rows = _masks(basis, w_slots)
     return phase_from_elements(x.apply(y.apply(pv))[rows], y.apply(x.apply(pv))[rows])
 
 
