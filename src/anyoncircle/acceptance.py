@@ -24,6 +24,7 @@ import numpy as np
 
 from .anyon import (
     ExchangeContext,
+    exchange_probes,
     predicted_phase,
     rotation_rep,
     verify_rotation_covariance,
@@ -187,7 +188,13 @@ class ExchangeSweep:
         # calibrated thresholds assume the full window schedule; shortened
         # smoke schedules must say so explicitly through the scale
         self.threshold_scale = float(threshold_scale)
-        self._policy = pol
+        self._floor = float(pol["floor"])
+        self._probes = {
+            "probe_charges": tuple(pol["charges"]),
+            "v_cap": int(pol["v_cap"]),
+            "w_cap": int(pol["w_cap"]),
+            "band": int(pol["band"]),
+        }
         self._lock = Lock()
         self._built: dict[int, tuple[ExchangeContext, dict]] = {}
 
@@ -209,6 +216,12 @@ class ExchangeSweep:
             bound *= self.threshold_scale
         return bound, exact
 
+    def require_budget(self) -> None:
+        """Raise ``ResourceLimit``, building no window, when the probes of a
+        cutoff would need minors past the budget."""
+        for m in self.cutoffs:
+            exchange_probes(ModeWindow(m), **self._probes)
+
     def tables(self) -> dict[int, tuple[ExchangeContext, dict]]:
         with self._lock:
             for m in self.cutoffs:
@@ -220,11 +233,8 @@ class ExchangeSweep:
                     CoveringPoint(self.base2),
                     standard_mollifier(self.eps1),
                     standard_mollifier(self.eps2),
-                    probe_charges=tuple(self._policy["charges"]),
-                    v_cap=int(self._policy["v_cap"]),
-                    w_cap=int(self._policy["w_cap"]),
-                    band=int(self._policy["band"]),
-                    floor=float(self._policy["floor"]),
+                    floor=self._floor,
+                    **self._probes,
                 )
                 tbl = ctx.measure(list(self.spins))
                 self._built[m] = (ctx, tbl)
@@ -737,9 +747,10 @@ def check_cone_theorem(
     windings minus one to one.  The tensor tables factorize over the plane
     and circle parts, so the anchored error schedule of the circle claim
     carries over verbatim with the sign of the prediction flipped by the
-    plane fermion.  On a randomized ensemble the LP disjointness verdict is
-    then compared with the exact separating-axis predicate, and a
-    disagreement in either direction fails the claim.
+    plane fermion.  On a randomized ensemble exactly one of the two Farkas
+    alternatives must hold for each pair: a nonnegative combination of the
+    generators that meets (``cones_disjoint`` false) or a separating axis
+    (``cones_separated``); both or neither fails the claim.
     """
     start = time.perf_counter()
     gate = _Gate()
@@ -806,14 +817,14 @@ def check_cone_theorem(
 
     disagreements = 0
     for pair, (cone1, cone2) in enumerate(cone_scan(scan_pairs, scan_seed)):
-        lp_disjoint = cones_disjoint(cone1, cone2)
+        disjoint = cones_disjoint(cone1, cone2)
         separated = cones_separated(cone1, cone2)
-        disagreements += int(separated != lp_disjoint)
+        disagreements += int(separated != disjoint)
         rows.append(
             CaseRow(
                 f"cone-scan-{pair:03d}", 0, _params(seed=scan_seed),
-                complex(float(separated)), complex(float(lp_disjoint)),
-                float(separated != lp_disjoint),
+                complex(float(separated)), complex(float(disjoint)),
+                float(separated != disjoint),
             )
         )
     gate.require(disagreements == 0)
@@ -830,26 +841,22 @@ def check_cone_theorem(
 
 def check_winding_algebra(pairs: int = 1000, seed: int = DEFAULT_SEED) -> CriterionResult:
     """Antisymmetry and shift covariance of the relative winding on random
-    disjoint interval pairs."""
+    disjoint interval pairs, drawn and checked as one batch."""
     start = time.perf_counter()
     gate = _Gate()
     rng = np.random.default_rng(seed)
-    anti_fail = 0
-    shift_fail = 0
-    for _ in range(pairs):
-        hw1, hw2 = (float(h) for h in rng.uniform(0.05, 0.7, size=2))
-        c2 = float(rng.uniform(-20.0, 20.0))
-        gap = float(rng.uniform(0.02, 1.0))
-        c1 = c2 + hw1 + hw2 + gap + TWO_PI * int(rng.integers(-3, 4))
-        first = CoveringInterval(CoveringPoint(c1), hw1)
-        second = CoveringInterval(CoveringPoint(c2), hw2)
-        n = relative_winding(first, second)
-        if relative_winding(second, first) != -n - 1:
-            anti_fail += 1
-        k = int(rng.integers(-2, 3))
-        shifted = CoveringInterval(CoveringPoint(c1 + TWO_PI * k), hw1)
-        if relative_winding(shifted, second) != n + k:
-            shift_fail += 1
+    hw1 = rng.uniform(0.05, 0.7, size=pairs)
+    hw2 = rng.uniform(0.05, 0.7, size=pairs)
+    c2 = rng.uniform(-20.0, 20.0, size=pairs)
+    gap = rng.uniform(0.02, 1.0, size=pairs)
+    c1 = c2 + hw1 + hw2 + gap + TWO_PI * rng.integers(-3, 4, size=pairs)
+    k = rng.integers(-2, 3, size=pairs)
+    first = CoveringInterval(c1, hw1)
+    second = CoveringInterval(c2, hw2)
+    n = relative_winding(first, second)
+    anti_fail = int(np.count_nonzero(relative_winding(second, first) != -n - 1))
+    shifted = CoveringInterval(c1 + TWO_PI * k, hw1)
+    shift_fail = int(np.count_nonzero(relative_winding(shifted, second) != n + k))
     if pairs:
         gate.require(anti_fail == 0)
         gate.require(shift_fail == 0)

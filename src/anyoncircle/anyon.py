@@ -30,7 +30,7 @@ import numpy as np
 from .blip import Mollifier, blip
 from .covering import TWO_PI, CoveringInterval, CoveringPoint, project, relative_winding
 from .errors import WindowTooSmall
-from .exterior import dressing_unitary, shift_sign, wedge_elements
+from .exterior import dressing_unitary, require_minor_budget, shift_sign, wedge_elements
 from .fock import (
     FockBasis,
     FockOperator,
@@ -203,6 +203,35 @@ def _coupling(spin: float) -> float:
     return -math.sqrt(square) if square > 0.0 else 0.0
 
 
+def _require_stacks(window: ModeWindow, stacks) -> None:
+    # every (rows, cols) probe pair is one stack of minors of order rows.shape[1]
+    for rows, cols in stacks:
+        require_minor_budget(window, len(rows) * len(cols), rows.shape[1])
+
+
+def exchange_probes(
+    window: ModeWindow,
+    probe_charges: tuple[int, ...] = (-1, 0, 1),
+    v_cap: int = 64,
+    w_cap: int = 64,
+    band: int = 2,
+) -> tuple[dict, dict, dict]:
+    """Probes of the exchange tables per charge q: the columns V(q) and the
+    rows W(q+2) of the product and W(q) of the adjoint pairing.
+
+    Raises ``ResourceLimit`` when one of their minor stacks would pass the
+    budget, so a window too large for the tables fails here, before any
+    blip symbol or one-particle matrix of it is built.
+    """
+    v_groups = {q: pattern_probes(window, q, band=band, cap=v_cap) for q in probe_charges}
+    w_product = {q: pattern_probes(window, q + 2, band=band, cap=w_cap) for q in probe_charges}
+    w_adjoint = {q: pattern_probes(window, q, band=band, cap=w_cap) for q in probe_charges}
+    _require_stacks(
+        window, [(w[q], v) for q, v in v_groups.items() for w in (w_product, w_adjoint)]
+    )
+    return v_groups, w_product, w_adjoint
+
+
 class ExchangeContext:
     """Exchange measurement for one base geometry on one window.
 
@@ -238,10 +267,9 @@ class ExchangeContext:
         # pattern probes keep the same physical states at every cutoff, so
         # error-vs-M curves track element convergence, not probe churn; they
         # come first, so a window past the minor budget allocates nothing
-        charges = probe_charges
-        self.v_groups = {q: pattern_probes(window, q, band=band, cap=v_cap) for q in charges}
-        self.w_product = {q: pattern_probes(window, q + 2, band=band, cap=w_cap) for q in charges}
-        self.w_adjoint = {q: pattern_probes(window, q, band=band, cap=w_cap) for q in charges}
+        self.v_groups, self.w_product, self.w_adjoint = exchange_probes(
+            window, probe_charges, v_cap, w_cap, band
+        )
         self.beta1 = blip_multiplier(mollifier1, window, self.base1)
         self.beta2 = blip_multiplier(mollifier2, window, self.base2)
 
@@ -485,6 +513,20 @@ class RotationCovariance:
     fresh: dict[int, np.ndarray]
 
 
+def rotation_probes(window: ModeWindow) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Probes of the rotation check per charge q = -2..2: 32 rows of charge
+    q + 1 and 8 columns of charge q, band 2 with no margin.  Raises
+    ``ResourceLimit`` when a minor stack would pass the budget."""
+    probes = {
+        q: tuple(
+            pattern_probes(window, c, band=2, margin=0, cap=cap) for c, cap in ((q + 1, 32), (q, 8))
+        )
+        for q in range(-2, 3)
+    }
+    _require_stacks(window, probes.values())
+    return probes
+
+
 def verify_rotation_covariance(
     spins: tuple[float, ...],
     point: CoveringPoint,
@@ -498,14 +540,9 @@ def verify_rotation_covariance(
     as diagonal phases on the probe states; the right side is built afresh
     from a blip recentred at base(omega1 + omega) and the prefactor at
     omega1 + omega.  The identity is exact at every window, so the probes
-    of charges -2..2 (8 per charge, 32 one charge up) may touch the edges.
+    of charges -2..2 (``rotation_probes``) may touch the edges.
     """
-    probes = {
-        q: tuple(
-            pattern_probes(window, c, band=2, margin=0, cap=cap) for c, cap in ((q + 1, 32), (q, 8))
-        )
-        for q in range(-2, 3)
-    }
+    probes = rotation_probes(window)
     weights = {q: [rotation_weights(slots, window) for slots in pair] for q, pair in probes.items()}
     omega1 = point.omega
     plain_beta = blip_multiplier(mollifier, window, point.base)

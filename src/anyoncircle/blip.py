@@ -18,7 +18,10 @@ Each tail integral is one fixed 96-node Gauss-Legendre rule mapped onto
 [a, eps].  The bump is C-infinity and flat at +-eps, so the rule converges
 faster than any power of the node count; against a 30-digit reference it
 is within 5e-15 for eps in [0.3, 0.7].  All points of a call are evaluated
-as array operations, a block of rows at a time.
+as array operations, a block of rows at a time.  The bump's normalising
+constant does not depend on eps; it is computed once, at import, by four
+192-node Gauss-Legendre panels on [-1, 1], which land on the double nearest
+a 40-digit reference.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .covering import TWO_PI
 from .errors import EpsilonOutOfRange
@@ -38,6 +40,17 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 # interior points per block: bounds each temporary at 96 * 1024 doubles
 # (0.75 MB) whatever the grid size
 _TAIL_BLOCK = 1024
+
+
+def _bump_mass() -> float:
+    """Integral of exp(-1 / (1 - t^2)) over (-1, 1), four Gauss-Legendre panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(192)
+    half = 0.25
+    t = np.linspace(-0.75, 0.75, 4)[:, None] + half * nodes
+    return float(half * np.sum(np.exp(-1.0 / (1.0 - t * t)) @ weights))
+
+
+_BUMP_MASS = _bump_mass()
 
 
 @dataclass(frozen=True)
@@ -69,16 +82,13 @@ def standard_mollifier(epsilon: float) -> Mollifier:
     """The bump c * exp(-1 / (1 - (x/eps)^2)) on (-eps, eps), unit mass."""
     if not 0.0 < epsilon < math.pi / 2:
         raise EpsilonOutOfRange(f"epsilon must lie in (0, pi/2), got {epsilon!r}")
-    norm, _ = quad(lambda t: math.exp(-1.0 / (1.0 - t * t)), -1.0, 1.0,
-                   epsabs=1e-14, epsrel=1e-13)
-
     def profile(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         t = x / epsilon
         out = np.zeros_like(t)
         inside = np.abs(t) < 1.0
         ti = t[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - ti * ti)) / (norm * epsilon)
+        out[inside] = np.exp(-1.0 / (1.0 - ti * ti)) / (_BUMP_MASS * epsilon)
         return out
 
     return Mollifier(epsilon, profile)

@@ -28,6 +28,7 @@ from .acceptance import (
     CSV_SCHEMA_VERSION,
     CaseRow,
     CriterionResult,
+    ExchangeSweep,
     SuiteSettings,
     check_hs_dichotomy,
     check_implementer_algebra,
@@ -41,6 +42,7 @@ from .anyon import (
     ExchangeContext,
     coefficient_tail,
     predicted_phase,
+    rotation_probes,
     verify_aux_commutation,
     verify_commutation,
 )
@@ -55,7 +57,7 @@ from .cones import (
 )
 from .covering import CoveringInterval, CoveringPoint, projections_disjoint, relative_winding
 from .errors import AnyonCircleError
-from .fock import FockBasis
+from .fock import FockBasis, truncation_safe_probes
 from .modes import ModeWindow, hs_offdiag_norm_sq, multiplication_operator
 from .schwinger import schwinger_blip_closed_form, schwinger_quadrature
 
@@ -231,7 +233,21 @@ def _count(text: str) -> int:
 
 def _dense_cutoff(text: str) -> int:
     value = int(text)
-    FockBasis(ModeWindow(value))  # raises before allocating past the dense limit
+    # FockBasis raises before allocating past the dense limit, and the
+    # dense claims' probes need modes inside the margin
+    truncation_safe_probes(FockBasis(ModeWindow(value)), (-1, 0, 1), margin=2)
+    return value
+
+
+def _exchange_cutoffs(text: str) -> tuple[int, ...]:
+    cutoffs = _parse_int_tuple(text, "[exchange] cutoffs")
+    ExchangeSweep(load_calibration(), cutoffs).require_budget()
+    return cutoffs
+
+
+def _rotation_cutoff(text: str) -> int:
+    value = int(text)
+    rotation_probes(ModeWindow(value))  # raises past the minor budget
     return value
 
 
@@ -275,7 +291,7 @@ def load_campaign(path: Path) -> Campaign:
             raw = parser.get(section, key)
             try:
                 return cast(raw)
-            except (ValueError, CampaignConfigError) as exc:
+            except (ValueError, AnyonCircleError, CampaignConfigError) as exc:
                 raise CampaignConfigError(f"[{section}] {key}: {exc}") from exc
         return default
 
@@ -283,10 +299,7 @@ def load_campaign(path: Path) -> Campaign:
     settings = replace(
         base,
         seed=get("campaign", "seed", int, base.seed),
-        exchange_cutoffs=get(
-            "exchange", "cutoffs",
-            lambda t: _parse_int_tuple(t, "[exchange] cutoffs"), base.exchange_cutoffs,
-        ),
+        exchange_cutoffs=get("exchange", "cutoffs", _exchange_cutoffs, base.exchange_cutoffs),
         exchange_threshold_scale=get(
             "exchange", "threshold_scale", _scale, base.exchange_threshold_scale
         ),
@@ -299,8 +312,8 @@ def load_campaign(path: Path) -> Campaign:
         hs_epsilon=get("hs", "epsilon", float, base.hs_epsilon),
         hs_cutoffs=get("hs", "cutoffs", lambda t: tuple(_hs_cutoffs(t)), base.hs_cutoffs),
         implementer_cutoff=get("implementer", "cutoff", _dense_cutoff, base.implementer_cutoff),
-        recurrence_cutoff=get("recurrence", "cutoff", int, base.recurrence_cutoff),
-        rotation_cutoff=get("rotation", "cutoff", int, base.rotation_cutoff),
+        recurrence_cutoff=get("recurrence", "cutoff", _rotation_cutoff, base.recurrence_cutoff),
+        rotation_cutoff=get("rotation", "cutoff", _rotation_cutoff, base.rotation_cutoff),
         rotation_dense_cutoff=get(
             "rotation", "dense_cutoff", _dense_cutoff, base.rotation_dense_cutoff
         ),
@@ -604,7 +617,8 @@ def cmd_cones(args) -> int:
         cone1, cone2 = pair["cone1"], pair["cone2"]
         disjoint = cones_disjoint(cone1, cone2)
         expected = pair["expect"] == "disjoint"
-        # the LP verdict must match the separating-axis predicate both ways
+        # exactly one Farkas alternative must hold: the regions meet
+        # (a nonnegative witness) or a separating axis exists
         ok = disjoint == expected and disjoint == cones_separated(cone1, cone2)
         parts = [f"pair {pair['name']:<16} disjoint={disjoint} expected={expected}"]
         if disjoint and projections_disjoint(cone1.directions, cone2.directions):

@@ -4,10 +4,12 @@ field, and the tensor combination with the circle field.
 A generalized cone is a convex support polygon together with a covering
 interval of asymptotic directions of opening below pi; its projection to the
 plane is the Minkowski sum of the polygon with the closed ray cone spanned
-by the two boundary directions.  Disjointness of two such regions is an
-exact convex feasibility question, decided by linear programming, and
-cross-checked by an exact separating-axis predicate that projects both
-regions on the normals of their hull edges and boundary rays.
+by the two boundary directions.  Disjointness of two such regions is the
+pair of alternatives of Farkas' lemma, and both are computed: a meeting
+witness, a nonnegative combination of the lifted generators found among
+their subsets of one to three (conic Caratheodory), and a separating axis
+among the normals of both regions' hull edges and boundary rays.  Neither
+needs a linear-programming solver.
 
 Test functions on the plane enter only through their Gram matrix and their
 support polygons, so the Fermi factor is represented exactly on a small
@@ -18,13 +20,14 @@ anticommutation relations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .covering import CoveringInterval
-from .errors import DegenerateGeometry
+from .errors import DegenerateGeometry, ResourceLimit
 from .fock import phase_from_elements
 
 
@@ -59,45 +62,85 @@ class GeneralizedCone:
         )
 
 
-def _intersection_lp(
+# generators the meeting witness accepts: C(128, 3) = 341,376 subsets of
+# three, a 25 MB stack of 3x3 systems
+_WITNESS_MAX_GENERATORS = 128
+
+
+@lru_cache(maxsize=16)
+def _subsets(count: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of every subset of 1, 2 and 3 of ``count`` generators."""
+    return tuple(
+        np.array(list(combinations(range(count), k)), dtype=np.intp)
+        for k in range(1, min(count, 3) + 1)
+    )
+
+
+def _hull(points: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull of plane points (Andrew's monotone chain),
+    without repeated or collinear points."""
+    pts = sorted(set(map(tuple, points.tolist())))
+    if len(pts) < 3:
+        return np.array(pts)
+
+    def chain(seq):
+        out = []
+        for x, y in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (x - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    return np.array(chain(pts) + chain(pts[::-1]))
+
+
+def _intersection_witness(
     poly1: np.ndarray, rays1: tuple[np.ndarray, ...], poly2: np.ndarray, rays2: tuple[np.ndarray, ...]
 ) -> bool:
-    """Feasibility of conv(poly1) + cone(rays1) meeting conv(poly2) + cone(rays2)."""
-    n1, n2 = poly1.shape[0], poly2.shape[0]
-    r1, r2 = len(rays1), len(rays2)
-    n_var = n1 + r1 + n2 + r2
-    a_eq = np.zeros((4, n_var))
-    b_eq = np.array([0.0, 0.0, 1.0, 1.0])
-    a_eq[0, :n1] = poly1[:, 0]
-    a_eq[1, :n1] = poly1[:, 1]
-    for k, d in enumerate(rays1):
-        a_eq[0, n1 + k] = d[0]
-        a_eq[1, n1 + k] = d[1]
-    off = n1 + r1
-    a_eq[0, off : off + n2] = -poly2[:, 0]
-    a_eq[1, off : off + n2] = -poly2[:, 1]
-    for k, d in enumerate(rays2):
-        a_eq[0, off + n2 + k] = -d[0]
-        a_eq[1, off + n2 + k] = -d[1]
-    a_eq[2, :n1] = 1.0
-    a_eq[3, off : off + n2] = 1.0
-    res = linprog(np.zeros(n_var), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status == 0:
-        return True
-    if res.status == 2:
-        return False
-    raise DegenerateGeometry(f"intersection feasibility solver returned status {res.status}")
+    """Whether conv(poly1) + cone(rays1) meets conv(poly2) + cone(rays2).
+
+    The regions meet exactly when (0, 0, 1) is a nonnegative combination of
+    the lifted generators (d, 1), d a vertex of conv(poly1 - poly2), and
+    (r, 0), r in rays1 and -rays2; by conic Caratheodory some one to three
+    linearly independent generators then suffice, so one batched
+    least-squares solve per subset size decides it.  A subset witnesses the
+    meeting when it reproduces (0, 0, 1) to 1e-9 of the generator scale with
+    coefficients no lower than -1e-9.
+    """
+    diffs = _hull((poly1[:, None, :] - poly2[None, :, :]).reshape(-1, 2))
+    rays = np.array([*rays1, *(-r for r in rays2)]).reshape(-1, 2)
+    gens = np.vstack([
+        np.column_stack([diffs, np.ones(len(diffs))]),
+        np.column_stack([rays, np.zeros(len(rays))]),
+    ])
+    if len(gens) > _WITNESS_MAX_GENERATORS:
+        raise ResourceLimit(
+            f"the meeting witness needs {len(gens)} generators (hull vertices of "
+            f"the polygon difference and rays); the limit is {_WITNESS_MAX_GENERATORS}"
+        )
+    target = np.array([0.0, 0.0, 1.0])
+    tol = 1e-9 * np.max(np.abs(gens))
+    for subset in _subsets(len(gens)):
+        cols = gens[subset].transpose(0, 2, 1)
+        coef = np.linalg.pinv(cols) @ target
+        residual = np.linalg.norm((cols @ coef[:, :, None])[:, :, 0] - target, axis=1)
+        if np.any((residual <= tol) & (coef >= -1e-9).all(axis=1)):
+            return True
+    return False
 
 
 def cones_disjoint(cone1: GeneralizedCone, cone2: GeneralizedCone) -> bool:
     """Exact disjointness of the two projected cone regions."""
-    return not _intersection_lp(
+    return not _intersection_witness(
         cone1.polygon, cone1.boundary_rays(), cone2.polygon, cone2.boundary_rays()
     )
 
 
 def polygons_disjoint(poly1: np.ndarray, poly2: np.ndarray) -> bool:
-    return not _intersection_lp(_validate_polygon(poly1), (), _validate_polygon(poly2), ())
+    return not _intersection_witness(_validate_polygon(poly1), (), _validate_polygon(poly2), ())
 
 
 def _dot(vectors: np.ndarray, axes: np.ndarray) -> np.ndarray:

@@ -5,6 +5,10 @@ A covering point is a real number omega, split uniquely as
 integer winding number.  Intervals on the covering are open and shorter
 than a full turn, so their projections to the circle are arcs and the
 relative winding of two disjointly projecting intervals is well defined.
+
+Every function works elementwise on numpy arrays, and an interval may hold
+an array of centres and half-widths, so a batch of pairs is one call; a
+scalar input still returns a Python ``float``, ``int`` or ``bool``.
 """
 
 from __future__ import annotations
@@ -12,33 +16,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import OverlapError
 
 TWO_PI = 2.0 * math.pi
 
 
-def project(omega: float) -> tuple[float, int]:
-    """Split a covering point into (base, winding).
+def project(omega: float | np.ndarray):
+    """Split a covering point into (base, winding), elementwise.
 
     base = omega - 2*pi*floor(omega / 2*pi) lies in [0, 2*pi); the pair
     reconstructs omega exactly up to one floating-point rounding.
     """
-    winding = math.floor(omega / TWO_PI)
+    omega = np.asarray(omega, dtype=float)
+    # + 0.0 turns a floor of -0.0 into +0.0, so that project(-0.0) keeps
+    # base -0.0 as the integer winding 0 would
+    winding = np.floor(omega / TWO_PI) + 0.0
     base = omega - TWO_PI * winding
     # Guard the half-open convention against rounding at either boundary.
-    if base >= TWO_PI:
-        base -= TWO_PI
-        winding += 1
-    if base < 0.0:
-        base = 0.0
-    return base, winding
+    wrap = base >= TWO_PI
+    base = np.where(wrap, base - TWO_PI, base)
+    base = np.where(base < 0.0, 0.0, base)
+    winding = winding + wrap
+    if omega.ndim == 0:
+        return float(base), int(winding)
+    return base, winding.astype(np.int64)
 
 
-def winding_number(omega: float) -> int:
+def winding_number(omega: float | np.ndarray):
     return project(omega)[1]
 
 
-def fractional_part(omega: float) -> float:
+def fractional_part(omega: float | np.ndarray):
     """The base-circle representative of omega, in [0, 2*pi)."""
     return project(omega)[0]
 
@@ -58,15 +68,20 @@ class CoveringPoint:
 
 @dataclass(frozen=True)
 class CoveringInterval:
-    """Open interval (center - half_width, center + half_width) on the covering."""
+    """Open interval (center - half_width, center + half_width) on the covering.
+
+    Center and half-width may be arrays of one shape: a batch of intervals.
+    """
 
     center: CoveringPoint
     half_width: float
 
     def __post_init__(self) -> None:
         if not isinstance(self.center, CoveringPoint):
-            object.__setattr__(self, "center", CoveringPoint(float(self.center)))
-        if not 0.0 < self.half_width < math.pi:
+            center = self.center
+            center = np.asarray(center, dtype=float) if np.ndim(center) else float(center)
+            object.__setattr__(self, "center", CoveringPoint(center))
+        if not np.all((0.0 < self.half_width) & (self.half_width < math.pi)):
             raise ValueError(
                 f"half_width must lie in (0, pi), got {self.half_width!r}"
             )
@@ -80,7 +95,7 @@ class CoveringInterval:
         return self.center.omega + self.half_width
 
 
-def projections_disjoint(first: CoveringInterval, second: CoveringInterval) -> bool:
+def projections_disjoint(first: CoveringInterval, second: CoveringInterval):
     """Whether the two projected open arcs are disjoint on the circle.
 
     The arcs are disjoint exactly when the circular distance between the
@@ -88,19 +103,18 @@ def projections_disjoint(first: CoveringInterval, second: CoveringInterval) -> b
     so touching arcs count as disjoint).
     """
     total = first.half_width + second.half_width
-    if total >= TWO_PI:
-        return False
     d = fractional_part(first.center.omega - second.center.omega)
-    return min(d, TWO_PI - d) >= total
+    disjoint = (total < TWO_PI) & (np.minimum(d, TWO_PI - d) >= total)
+    return bool(disjoint) if np.ndim(disjoint) == 0 else disjoint
 
 
-def relative_winding(first: CoveringInterval, second: CoveringInterval) -> int:
+def relative_winding(first: CoveringInterval, second: CoveringInterval):
     """Winding number of omega1 - omega2, constant over the two intervals.
 
     Requires disjoint projections; otherwise the difference crosses a
     multiple of 2*pi and the winding is ambiguous.
     """
-    if not projections_disjoint(first, second):
+    if not np.all(projections_disjoint(first, second)):
         raise OverlapError(
             "relative winding undefined: projected arcs overlap"
         )

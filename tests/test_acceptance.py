@@ -152,12 +152,13 @@ def test_cones_pass_at_scan_seed_99():
 
 
 def test_cones_fail_when_lp_sees_one_ray(monkeypatch):
-    honest = cones._intersection_lp
+    # the meeting witness sees only the first boundary ray of each cone
+    honest = cones._intersection_witness
 
     def first_ray_only(poly1, rays1, poly2, rays2):
         return honest(poly1, rays1[:1], poly2, rays2[:1])
 
-    monkeypatch.setattr(cones, "_intersection_lp", first_ray_only)
+    monkeypatch.setattr(cones, "_intersection_witness", first_ray_only)
     planted = _smoke_cones(acceptance.CONE_SCAN_SEED)
     assert not planted.passed
     assert _scan_disagreements(planted) > 0
@@ -272,7 +273,7 @@ def test_winding_algebra_fails_when_negative_separations_are_off_by_one(monkeypa
     assert acceptance.check_winding_algebra().passed
     honest = covering.winding_number
     monkeypatch.setattr(
-        covering, "winding_number", lambda omega: honest(omega) + (1 if omega < 0 else 0)
+        covering, "winding_number", lambda omega: honest(omega) + np.where(omega < 0, 1, 0)
     )
     planted = acceptance.check_winding_algebra()
     assert not planted.passed and planted.margin < 0

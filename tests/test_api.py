@@ -1,6 +1,9 @@
 """The public surface: every export resolves and is used by the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import anyoncircle
@@ -69,3 +72,19 @@ def test_every_export_is_used_by_the_package():
 
 def test_oracle_exceptions_are_exports():
     assert set(TEST_ORACLES) <= set(anyoncircle.__all__)
+
+
+def test_cli_imports_no_optimizer_or_integrator():
+    # scipy.optimize and scipy.integrate pull in about 200 modules that no
+    # claim needs; the package keeps scipy for sparse and linalg only
+    code = (
+        "import sys, anyoncircle.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))"
+    )
+    src = str(PACKAGE_DIR.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Mollifiers and the smeared sawtooth profile."""
 
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from anyoncircle.covering import TWO_PI
 from anyoncircle.errors import EpsilonOutOfRange
 from anyoncircle.modes import ModeWindow, grid_points
 
+# the package exports the function blip under the module's name
+blip_module = importlib.import_module("anyoncircle.blip")
+
 
 def test_mollifier_unit_mass_and_symmetry():
     chi = standard_mollifier(0.3)
@@ -19,6 +23,15 @@ def test_mollifier_unit_mass_and_symmetry():
     assert float(chi(0.15)) == pytest.approx(float(chi(-0.15)), abs=1e-14)
     assert float(chi(0.31)) == 0.0
     assert float(chi(-0.31)) == 0.0
+
+
+def test_bump_mass_matches_high_precision_reference():
+    # the normaliser is eps independent and computed once at import
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.quad(lambda t: mpmath.exp(-1 / (1 - t * t)), [-1, 0, 1])
+        err = abs(mpmath.mpf(blip_module._BUMP_MASS) - ref)
+    assert float(err) < 3e-17
 
 
 def test_mollifier_epsilon_range():

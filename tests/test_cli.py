@@ -374,6 +374,53 @@ def test_report_rejects_dense_cutoffs_past_the_fock_limit(tmp_path, capsys, line
     assert (settings.implementer_cutoff, settings.rotation_dense_cutoff) in ((5, 3), (4, 5))
 
 
+@pytest.mark.parametrize(
+    "line", ["[implementer]\ncutoff = 4", "dense_cutoff = 3"], ids=["implementer", "rotation"]
+)
+def test_report_rejects_dense_cutoffs_without_interior_modes(tmp_path, capsys, line):
+    # the dense claims probe modes at least 2 inside the window edges
+    text = REDUCED_CFG.format(scale=4.0)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(text.replace(line, line[:-1] + "2"))
+    assert main(["report", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "interior modes" in err
+    assert not (tmp_path / "out").exists()
+    cfg.write_text(text.replace(line, line[:-1] + "3"))
+    settings = load_campaign(cfg).settings
+    assert (settings.implementer_cutoff, settings.rotation_dense_cutoff) in ((3, 3), (4, 3))
+
+
+# the last cutoffs whose minors fit the budget: the exchange tables and the
+# rotation probes of recurrence and rotation claims
+MINOR_KEYS = {
+    "exchange": ("cutoffs = 4", 289),
+    "recurrence": ("[recurrence]\ncutoff = 4", 322),
+    "rotation": ("[rotation]\ncutoff = 4", 322),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MINOR_KEYS))
+def test_report_rejects_cutoffs_past_the_minor_budget(tmp_path, monkeypatch, capsys, key):
+    line, last = MINOR_KEYS[key]
+    text = REDUCED_CFG.format(scale=4.0)
+    assert line in text
+    cfg = tmp_path / "suite.cfg"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a blip multiplier was built")
+
+    monkeypatch.setattr(anyon, "blip_multiplier", refuse)
+    for cutoff in (100000, last + 1):
+        cfg.write_text(text.replace(line, line[:-1] + str(cutoff)))
+        assert main(["report", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"[{key}] cutoff" in err and "MiB" in err
+        assert not (tmp_path / "out").exists()
+    cfg.write_text(text.replace(line, line[:-1] + str(last)))
+    load_campaign(cfg)
+
+
 @pytest.mark.parametrize("cutoffs", ["8", "8,8", "8,16,8"])
 def test_report_rejects_hs_cutoffs_without_a_span(tmp_path, capsys, cutoffs):
     # the sawtooth slope divides by log(last / first)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +36,58 @@ def test_project_roundtrip(omega):
     assert base + TWO_PI * winding == pytest.approx(omega, abs=1e-9 * max(1.0, abs(omega)))
     assert winding_number(omega) == winding
     assert fractional_part(omega) == base
+
+
+def _boundary_values():
+    """Multiples of 2*pi and their float neighbours, signed zeros,
+    subnormals, and random values."""
+    turns = np.arange(-5000, 5001) * TWO_PI
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308]
+    rng = np.random.default_rng(0)
+    return np.concatenate([
+        turns, np.nextafter(turns, np.inf), np.nextafter(turns, -np.inf), tiny,
+        rng.uniform(-1e6, 1e6, 50_000), rng.normal(scale=10.0, size=50_000),
+    ])
+
+
+def test_array_project_matches_scalar_calls():
+    values = _boundary_values()
+    base, winding = project(values)
+    assert base.dtype == np.float64 and winding.dtype == np.int64
+    for omega, b, w in zip(values.tolist(), base.tolist(), winding.tolist()):
+        scalar_base, scalar_winding = project(omega)
+        assert type(scalar_base) is float and type(scalar_winding) is int
+        # bitwise: the sign of a zero base must agree too
+        assert math.copysign(1.0, scalar_base) == math.copysign(1.0, b)
+        assert (scalar_base, scalar_winding) == (b, w)
+        assert 0.0 <= b < TWO_PI
+    assert np.array_equal(winding_number(values), winding)
+    assert np.array_equal(fractional_part(values), base)
+
+
+def test_interval_batches_match_single_intervals():
+    rng = np.random.default_rng(3)
+    centers = rng.uniform(-20.0, 20.0, size=(2, 400))
+    widths = rng.uniform(0.05, 1.5, size=(2, 400))
+    first = CoveringInterval(centers[0], widths[0])
+    second = CoveringInterval(centers[1], widths[1])
+    disjoint = projections_disjoint(first, second)
+    assert disjoint.dtype == bool and 0 < disjoint.sum() < 400
+    singles = [
+        (CoveringInterval(float(c1), float(h1)), CoveringInterval(float(c2), float(h2)))
+        for c1, c2, h1, h2 in zip(centers[0], centers[1], widths[0], widths[1])
+    ]
+    assert disjoint.tolist() == [projections_disjoint(a, b) for a, b in singles]
+    with pytest.raises(OverlapError):
+        relative_winding(first, second)
+    keep = np.flatnonzero(disjoint)
+    batch = relative_winding(
+        CoveringInterval(centers[0, keep], widths[0, keep]),
+        CoveringInterval(centers[1, keep], widths[1, keep]),
+    )
+    assert batch.tolist() == [relative_winding(*singles[i]) for i in keep]
+    with pytest.raises(ValueError):
+        CoveringInterval(centers[0], np.where(disjoint, widths[0], math.pi))
 
 
 def test_covering_point_properties():
