@@ -17,7 +17,6 @@ import math
 import time
 from dataclasses import dataclass
 from importlib import resources
-from threading import Lock
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +37,6 @@ from .cones import (
     direction_vector,
     fermi_exchange_elements,
     polygons_disjoint,
-    tensor_exchange_from_parts,
 )
 from .covering import (
     TWO_PI,
@@ -166,8 +164,7 @@ class ExchangeSweep:
 
     One table set serves every spin, both pairings, and every winding:
     winding and pairing enter only through exact prefactor scalars applied
-    in ``scaled_elements``.  Construction is lock guarded so concurrent
-    claim runners build it exactly once.
+    in ``scaled_elements``.  The windows are built once, on first use.
     """
 
     def __init__(
@@ -195,7 +192,6 @@ class ExchangeSweep:
             "w_cap": int(pol["w_cap"]),
             "band": int(pol["band"]),
         }
-        self._lock = Lock()
         self._built: dict[int, tuple[ExchangeContext, dict]] = {}
 
     def interval1(self, shift: int = 0) -> CoveringInterval:
@@ -223,51 +219,45 @@ class ExchangeSweep:
             exchange_probes(ModeWindow(m), **self._probes)
 
     def tables(self) -> dict[int, tuple[ExchangeContext, dict]]:
-        with self._lock:
-            for m in self.cutoffs:
-                if m in self._built:
-                    continue
-                ctx = ExchangeContext(
-                    ModeWindow(m),
-                    CoveringPoint(self.base1),
-                    CoveringPoint(self.base2),
-                    standard_mollifier(self.eps1),
-                    standard_mollifier(self.eps2),
-                    floor=self._floor,
-                    **self._probes,
-                )
-                tbl = ctx.measure(list(self.spins))
-                self._built[m] = (ctx, tbl)
-            return dict(self._built)
+        for m in self.cutoffs:
+            if m in self._built:
+                continue
+            ctx = ExchangeContext(
+                ModeWindow(m),
+                CoveringPoint(self.base1),
+                CoveringPoint(self.base2),
+                standard_mollifier(self.eps1),
+                standard_mollifier(self.eps2),
+                floor=self._floor,
+                **self._probes,
+            )
+            tbl = ctx.measure(list(self.spins))
+            self._built[m] = (ctx, tbl)
+        return dict(self._built)
 
 
 def _anchored_error(
-    ctx: ExchangeContext,
-    tables: dict,
-    spin: float,
-    omega1: float,
-    omega2: float,
-    pairing: str,
-    anchors: np.ndarray,
-    predicted: complex,
+    fw: np.ndarray, rv: np.ndarray, predicted: complex, floor: float
 ) -> tuple[complex, float]:
-    """Median anchored phase and the worst anchored unit-ratio error.
+    """Median phase and the worst unit-ratio error of anchored elements.
 
     The anchors are the largest reversed-order elements of the coarsest
     window, frozen at calibration time; tracking the same elements at every
     window keeps the error curve a statement about element convergence.
     """
-    fw, rv = ctx.scaled_elements(tables, spin, omega1, omega2, pairing)
-    fa, ra = fw[anchors], rv[anchors]
-    keep = np.abs(ra) > ctx.floor
-    ratios = fa[keep] / ra[keep]
+    keep = np.abs(rv) > floor
+    ratios = fw[keep] / rv[keep]
     units = ratios / np.abs(ratios)
     err = float(np.max(np.abs(units - predicted)))
-    phase, _ = phase_from_elements(fa, ra, floor=ctx.floor)
+    phase, _ = phase_from_elements(fw, rv, floor=floor)
     return phase, err
 
 
 # ------------------------------------------------------- claim runners
+
+
+SCHWINGER_QUAD_TOL = 1e-8
+SCHWINGER_TRACE_TOL = 1e-6
 
 
 def check_schwinger_closed_form(
@@ -275,8 +265,6 @@ def check_schwinger_closed_form(
     grid: int = 4096,
     cutoffs: tuple[int, ...] = (8, 16, 32, 64),
     seed: int = DEFAULT_SEED,
-    quad_tol: float = 1e-8,
-    trace_tol: float = 1e-6,
 ) -> CriterionResult:
     """Quadrature equals the closed form; the windowed trace converges to it.
 
@@ -302,7 +290,7 @@ def check_schwinger_closed_form(
         a2 = blip(standard_mollifier(eps2), top, grid).periodic.shifted(base2)
         quad = schwinger_quadrature(a1, a2)
         qerr = abs(quad - closed)
-        gate.below(qerr, quad_tol)
+        gate.below(qerr, SCHWINGER_QUAD_TOL)
         rows.append(
             CaseRow(
                 f"schwinger-quad-{case:02d}",
@@ -336,7 +324,7 @@ def check_schwinger_closed_form(
             )
         for prev, nxt in zip(errs, errs[1:]):
             gate.decrease(prev, nxt)
-        gate.below(errs[-1], trace_tol)
+        gate.below(errs[-1], SCHWINGER_TRACE_TOL)
     return CriterionResult(
         "prop-schwinger-blip",
         "dressing pairing closed form",
@@ -347,11 +335,14 @@ def check_schwinger_closed_form(
     )
 
 
+# the blip's center and the allowed relative error of the sawtooth slope
+HS_CENTER = 0.9
+HS_SLOPE_TOL = 0.05
+
+
 def check_hs_dichotomy(
     epsilon: float = 0.3,
-    center: float = 0.9,
     cutoffs: tuple[int, ...] = (8, 16, 32, 64),
-    slope_tol: float = 0.05,
 ) -> CriterionResult:
     """Windowed off-diagonal sums converge for the mollified profile and
     grow logarithmically for the raw sawtooth.
@@ -367,8 +358,10 @@ def check_hs_dichotomy(
     raw = []
     oracle = []
     for m in cutoffs:
+        ModeWindow(m).require_matrix_budget()  # before any synthesis
+    for m in cutoffs:
         w = ModeWindow(m)
-        b = blip(standard_mollifier(epsilon), w).periodic.shifted(center)
+        b = blip(standard_mollifier(epsilon), w).periodic.shifted(HS_CENTER)
         smooth.append(hs_offdiag_norm_sq(multiplication_operator(b, w)))
         raw.append(hs_offdiag_norm_sq(multiplication_operator(sawtooth_coefficients(2 * m), w)))
         oracle.append(
@@ -395,7 +388,7 @@ def check_hs_dichotomy(
     slope = (raw[-1] - raw[0]) / span
     oracle_slope = (oracle[-1] - oracle[0]) / span
     rel = abs(slope / oracle_slope - 1.0)
-    gate.below(rel, slope_tol)
+    gate.below(rel, HS_SLOPE_TOL)
     rows.append(
         CaseRow(
             "hs-sawtooth-slope", cutoffs[-1], _params(),
@@ -424,9 +417,11 @@ def _charge_rotation(basis: FockBasis, omega: float):
     return second_quantize_diagonal(OneParticleOperator(w, mat), basis)
 
 
+IMPLEMENTER_ANGLES = (0.7, 2.9, 5.3)
+
+
 def check_implementer_algebra(
     cutoff: int = 4,
-    omegas: tuple[float, ...] = (0.7, 2.9, 5.3),
     vac_tol: float = 1e-12,
     cov_tol: float = 1e-9,
 ) -> CriterionResult:
@@ -454,7 +449,7 @@ def check_implementer_algebra(
     )
 
     probes = probe_matrix(basis, truncation_safe_probes(basis, (-1, 0, 1), margin=2))
-    for omega in omegas:
+    for omega in IMPLEMENTER_ANGLES:
         u1 = _free_rotation(basis, omega)
         lhs = u1 @ g @ u1.dagger()
         rhs = g @ _charge_rotation(basis, omega)
@@ -525,9 +520,8 @@ def check_exchange_phases(sweep: ExchangeSweep) -> CriterionResult:
                 for m in cutoffs:
                     t0 = time.perf_counter()
                     ctx, tbl = built[m]
-                    phase, err = _anchored_error(
-                        ctx, tbl, spin, sweep.base1, omega2, pairing, anchors, pred
-                    )
+                    fw, rv = ctx.scaled_elements(tbl, spin, sweep.base1, omega2, pairing)
+                    phase, err = _anchored_error(fw[anchors], rv[anchors], pred, ctx.floor)
                     errs.append(err)
                     rows.append(
                         CaseRow(
@@ -557,7 +551,10 @@ def check_exchange_phases(sweep: ExchangeSweep) -> CriterionResult:
     )
 
 
-def check_two_pi_shift(sweep: ExchangeSweep, tol: float = 1e-9) -> CriterionResult:
+SHIFT_TOL = 1e-9
+
+
+def check_two_pi_shift(sweep: ExchangeSweep) -> CriterionResult:
     """A full covering shift of the first argument multiplies the product
     exchange phase by exp(4 pi i s), at every window."""
     start = time.perf_counter()
@@ -572,15 +569,15 @@ def check_two_pi_shift(sweep: ExchangeSweep, tol: float = 1e-9) -> CriterionResu
         for m in sweep.cutoffs:
             t0 = time.perf_counter()
             ctx, tbl = built[m]
-            base_phase, base_err = _anchored_error(
-                ctx, tbl, spin, sweep.base1, sweep.base2, "product", anchors, pred0
+            fw, rv = ctx.scaled_elements(tbl, spin, sweep.base1, sweep.base2, "product")
+            base_phase, base_err = _anchored_error(fw[anchors], rv[anchors], pred0, ctx.floor)
+            fw, rv = ctx.scaled_elements(
+                tbl, spin, sweep.base1 + TWO_PI, sweep.base2, "product"
             )
-            shift_phase, shift_err = _anchored_error(
-                ctx, tbl, spin, sweep.base1 + TWO_PI, sweep.base2, "product", anchors, pred1
-            )
+            shift_phase, shift_err = _anchored_error(fw[anchors], rv[anchors], pred1, ctx.floor)
             ratio = shift_phase / base_phase
             err = abs(ratio - factor)
-            gate.below(err, tol)
+            gate.below(err, SHIFT_TOL)
             # the shifted scalars have unit modulus, so both windows carry
             # the same anchored error up to rounding
             gate.below(abs(shift_err - base_err), 1e-12)
@@ -606,14 +603,18 @@ def check_two_pi_shift(sweep: ExchangeSweep, tol: float = 1e-9) -> CriterionResu
 
 
 # the rotated field and the covariance gate of both rotation claims
+ROTATION_SPINS = (0.5, 0.0, 0.25, -0.5)
 ROTATION_CENTER, ROTATION_EPSILON = 0.9, 0.65
 ROTATION_ANGLES = (0.37, -TWO_PI + 0.37, 3 * TWO_PI - 1.1)
 COVARIANCE_TOL = 1e-12
+# random angle pairs per spin and the tolerance of the dense group law
+GROUP_LAW_PAIRS = 5
+GROUP_LAW_TOL = 1e-10
 
 
 def check_spin_recurrence(
     cutoff: int = 6,
-    spins: tuple[float, ...] = (0.5, 0.0, 0.25, -0.5),
+    spins: tuple[float, ...] = ROTATION_SPINS,
     center: float = ROTATION_CENTER,
     epsilon: float = ROTATION_EPSILON,
     tol: float = 1e-8,
@@ -668,10 +669,7 @@ def check_spin_recurrence(
 def check_rotation_identities(
     cutoff: int = 6,
     dense_cutoff: int = 3,
-    spins: tuple[float, ...] = (0.5, 0.0, 0.25, -0.5),
-    pairs: int = 5,
     seed: int = DEFAULT_SEED,
-    group_tol: float = 1e-10,
 ) -> CriterionResult:
     """Rotation covariance of the field at generic angles, on probe minors,
     and the group law of the rotation family on a dense window."""
@@ -679,7 +677,7 @@ def check_rotation_identities(
     gate = _Gate()
     rows: list[CaseRow] = []
     covariance = verify_rotation_covariance(
-        spins, CoveringPoint(ROTATION_CENTER), standard_mollifier(ROTATION_EPSILON),
+        ROTATION_SPINS, CoveringPoint(ROTATION_CENTER), standard_mollifier(ROTATION_EPSILON),
         ModeWindow(cutoff), ROTATION_ANGLES,
     )
     for res in covariance:
@@ -694,14 +692,14 @@ def check_rotation_identities(
     basis = FockBasis(ModeWindow(dense_cutoff))
     probes = probe_matrix(basis, truncation_safe_probes(basis, (-1, 0, 1), margin=2))
     rng = np.random.default_rng(seed)
-    for spin in spins:
+    for spin in ROTATION_SPINS:
         worst = 0.0
-        for _ in range(pairs):
+        for _ in range(GROUP_LAW_PAIRS):
             a, b = (float(x) for x in rng.uniform(-10.0, 10.0, size=2))
             lhs = rotation_rep(a, spin, basis) @ rotation_rep(b, spin, basis)
             rhs = rotation_rep(a + b, spin, basis)
             worst = max(worst, float(np.max(np.abs((lhs.matrix - rhs.matrix) @ probes))))
-        gate.below(worst, group_tol)
+        gate.below(worst, GROUP_LAW_TOL)
         rows.append(
             CaseRow(
                 f"rotation-group-law-s{spin:g}", dense_cutoff, _params(spin=spin),
@@ -720,6 +718,8 @@ def check_rotation_identities(
 
 CONE_CONFIGS = ((0.5, 0), (0.5, 1), (0.5, 2), (0.0, 0), (0.0, 2),
                 (0.25, 1), (0.25, 2), (-0.5, 0), (-0.5, 1), (-0.5, 2))
+# the tensor phase is minus the circle phase to this tolerance
+CONE_RATIO_TOL = 1e-9
 
 
 def cone_scan(scan_pairs: int, scan_seed: int) -> list[tuple[GeneralizedCone, GeneralizedCone]]:
@@ -739,7 +739,6 @@ def check_cone_theorem(
     sweep: ExchangeSweep,
     scan_pairs: int = 100,
     scan_seed: int = CONE_SCAN_SEED,
-    ratio_tol: float = 1e-9,
 ) -> CriterionResult:
     """Exchange phases of cone-localized tensor fields, plus geometry checks.
 
@@ -785,14 +784,10 @@ def check_cone_theorem(
             ctx, tbl = built[m]
             fw, rv = ctx.scaled_elements(tbl, spin, sweep.base1, omega2, "product")
             fa, ra = fw[anchors], rv[anchors]
-            t_fw = np.kron(f_fw.ravel(), fa)
-            t_rv = np.kron(f_rv.ravel(), ra)
-            keep = np.abs(t_rv) > ctx.floor
-            units = t_fw[keep] / t_rv[keep]
-            units = units / np.abs(units)
-            err = float(np.max(np.abs(units - pred)))
+            t_phase, err = _anchored_error(
+                np.kron(f_fw.ravel(), fa), np.kron(f_rv.ravel(), ra), pred, ctx.floor
+            )
             errs.append(err)
-            t_phase, _ = tensor_exchange_from_parts(f_fw, f_rv, fa, ra, floor=ctx.floor)
             rows.append(
                 CaseRow(
                     f"cone-{idx:02d}-s{spin:g}-N{n_rel}-M{m}",
@@ -806,7 +801,7 @@ def check_cone_theorem(
             )
             if m == sweep.cutoffs[-1]:
                 c_phase, _ = phase_from_elements(fa, ra, floor=ctx.floor)
-                gate.below(abs(t_phase / c_phase + 1.0), ratio_tol)
+                gate.below(abs(t_phase / c_phase + 1.0), CONE_RATIO_TOL)
         if exact:
             for err in errs:
                 gate.below(err, threshold)
@@ -903,12 +898,12 @@ class SuiteSettings:
 
 def claim_checks(
     settings: SuiteSettings | None = None,
-    calibration: dict | None = None,
 ) -> list[tuple[str, Callable[[], CriterionResult]]]:
     """Claim id and runner for every verified claim, sharing one sweep."""
     cfg = settings or SuiteSettings()
-    calib = calibration or load_calibration()
-    sweep = ExchangeSweep(calib, cfg.exchange_cutoffs, cfg.exchange_threshold_scale)
+    sweep = ExchangeSweep(
+        load_calibration(), cfg.exchange_cutoffs, cfg.exchange_threshold_scale
+    )
     return [
         ("prop-schwinger-blip", lambda: check_schwinger_closed_form(
             cfg.schwinger_samples, cfg.schwinger_grid, cfg.schwinger_cutoffs, cfg.seed)),

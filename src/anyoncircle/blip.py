@@ -133,9 +133,8 @@ def _closed_form(chi: Mollifier, xs: np.ndarray) -> np.ndarray:
     )
 
 
-def blip_derivative(b: BlipFunction, grid_size: int | None = None) -> PeriodicFunction:
-    """Closed-form derivative 1 - 2*pi * sum_k chi(x - 2*pi*k), analyzed on the grid."""
-    window_sized = b.periodic.grid_size if grid_size is None else grid_size
+def blip_derivative(b: BlipFunction) -> PeriodicFunction:
+    """Closed-form derivative 1 - 2*pi * sum_k chi(x - 2*pi*k), analyzed on the blip's grid."""
 
     def deriv(xs: np.ndarray) -> np.ndarray:
         base = np.mod(xs, TWO_PI)
@@ -147,4 +146,4 @@ def blip_derivative(b: BlipFunction, grid_size: int | None = None) -> PeriodicFu
 
     n_max = b.periodic.n_max
     window = ModeWindow((n_max - 1) // 2)
-    return analyze(deriv, window, grid_size=window_sized)
+    return analyze(deriv, window, grid_size=b.periodic.grid_size)

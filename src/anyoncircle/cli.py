@@ -17,10 +17,9 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +55,7 @@ from .cones import (
     tensor_exchange_from_parts,
 )
 from .covering import CoveringInterval, CoveringPoint, projections_disjoint, relative_winding
-from .errors import AnyonCircleError
+from .errors import AnyonCircleError, GridTooCoarse
 from .fock import FockBasis, truncation_safe_probes
 from .modes import ModeWindow, hs_offdiag_norm_sq, multiplication_operator
 from .schwinger import schwinger_blip_closed_form, schwinger_quadrature
@@ -67,49 +66,6 @@ CSV_HEADER = (
     "schema_version,case_id,M,params,measured_re,measured_im,"
     "predicted_re,predicted_im,abs_error,elapsed_ms"
 )
-
-
-# ------------------------------------------------------------ worker pool
-
-
-def run_tasks(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
-    """Run the tasks on ``jobs`` threads and return their results in order.
-
-    With more than one job every task runs even when another raises; the
-    first error in submission order is re-raised once all have finished.
-    One job runs the tasks in the calling thread, in order.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    if jobs == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(_capture, tasks))
-    for _, exc in outcomes:
-        if exc is not None:
-            raise exc
-    return [value for value, _ in outcomes]
-
-
-def _capture(task: Callable[[], object]) -> tuple[object, BaseException | None]:
-    # map() cancels the tasks not yet started once a result raises, so the
-    # error is carried as a value and re-raised by run_tasks
-    try:
-        return task(), None
-    except BaseException as exc:
-        return None, exc
-
-
-def _job_count(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("ANYON_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 # --------------------------------------------------------------- output
@@ -129,8 +85,7 @@ def write_rows_csv(path: Path, rows: Sequence[CaseRow], stable: bool) -> None:
     """One CSV per claim; rows sorted by case id for reproducible bytes.
 
     Timing is diagnostic and varies run to run, so byte reproducibility is
-    guaranteed for every column except elapsed_ms; setting the stable flag
-    (or ANYON_STABLE_TIMINGS=1) zeroes it.
+    guaranteed for every column except elapsed_ms; the stable flag zeroes it.
     """
     lines = [CSV_HEADER]
     for row in sorted(rows, key=lambda r: r.case_id):
@@ -231,6 +186,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _epsilon(text: str) -> float:
+    value = float(text)
+    standard_mollifier(value)  # raises outside (0, pi/2)
+    return value
+
+
+def _matrix_windows(cutoffs: Sequence[int]) -> tuple[int, ...]:
+    for m in cutoffs:
+        ModeWindow(m).require_matrix_budget()  # raises below 1 or past the budget
+    return tuple(cutoffs)
+
+
 def _dense_cutoff(text: str) -> int:
     value = int(text)
     # FockBasis raises before allocating past the dense limit, and the
@@ -298,7 +265,7 @@ def load_campaign(path: Path) -> Campaign:
     base = SuiteSettings()
     settings = replace(
         base,
-        seed=get("campaign", "seed", int, base.seed),
+        seed=get("campaign", "seed", _count, base.seed),
         exchange_cutoffs=get("exchange", "cutoffs", _exchange_cutoffs, base.exchange_cutoffs),
         exchange_threshold_scale=get(
             "exchange", "threshold_scale", _scale, base.exchange_threshold_scale
@@ -307,10 +274,13 @@ def load_campaign(path: Path) -> Campaign:
         schwinger_grid=get("schwinger", "grid", int, base.schwinger_grid),
         schwinger_cutoffs=get(
             "schwinger", "cutoffs",
-            lambda t: _parse_int_tuple(t, "[schwinger] cutoffs"), base.schwinger_cutoffs,
+            lambda t: _matrix_windows(_parse_int_tuple(t, "[schwinger] cutoffs")),
+            base.schwinger_cutoffs,
         ),
-        hs_epsilon=get("hs", "epsilon", float, base.hs_epsilon),
-        hs_cutoffs=get("hs", "cutoffs", lambda t: tuple(_hs_cutoffs(t)), base.hs_cutoffs),
+        hs_epsilon=get("hs", "epsilon", _epsilon, base.hs_epsilon),
+        hs_cutoffs=get(
+            "hs", "cutoffs", lambda t: _matrix_windows(_hs_cutoffs(t)), base.hs_cutoffs
+        ),
         implementer_cutoff=get("implementer", "cutoff", _dense_cutoff, base.implementer_cutoff),
         recurrence_cutoff=get("recurrence", "cutoff", _rotation_cutoff, base.recurrence_cutoff),
         rotation_cutoff=get("rotation", "cutoff", _rotation_cutoff, base.rotation_cutoff),
@@ -318,9 +288,13 @@ def load_campaign(path: Path) -> Campaign:
             "rotation", "dense_cutoff", _dense_cutoff, base.rotation_dense_cutoff
         ),
         cone_scan_pairs=get("cones", "scan_pairs", _count, base.cone_scan_pairs),
-        cone_scan_seed=get("cones", "scan_seed", int, base.cone_scan_seed),
+        cone_scan_seed=get("cones", "scan_seed", _count, base.cone_scan_seed),
         winding_pairs=get("winding", "pairs", _count, base.winding_pairs),
     )
+    try:
+        ModeWindow(max(settings.schwinger_cutoffs)).require_grid(settings.schwinger_grid)
+    except GridTooCoarse as exc:
+        raise CampaignConfigError(f"[schwinger] grid: {exc}") from exc
     return Campaign(
         output_dir=get("campaign", "output_dir", str, "verification_out"),
         seed=settings.seed,
@@ -332,10 +306,6 @@ def packaged_suite_path() -> Path:
     from importlib import resources
 
     return Path(str(resources.files("anyoncircle").joinpath("data/suite.cfg")))
-
-
-def _stable_timings(flag: bool) -> bool:
-    return flag or os.environ.get("ANYON_STABLE_TIMINGS", "") == "1"
 
 
 def cmd_report(args) -> int:
@@ -351,25 +321,19 @@ def cmd_report(args) -> int:
     except OSError as exc:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 2
-    stable = _stable_timings(args.stable_timings)
-    checks = claim_checks(campaign.settings)
-
-    def make_task(claim_id: str, runner: Callable[[], CriterionResult]):
-        def task() -> CriterionResult:
-            try:
-                result = runner()
-            except Exception as exc:
-                result = CriterionResult(
-                    claim_id, "runner crashed", False, float("-inf"), [], 0.0,
-                    note=f"error: {exc!r}",
-                )
-            write_rows_csv(out_dir / f"{claim_id}.csv", result.rows, stable)
-            return result
-
-        return task
-
-    tasks = [make_task(cid, run) for cid, run in checks]
-    results = run_tasks(tasks, _job_count(args.jobs))
+    stable = args.stable_timings
+    results = []
+    for claim_id, runner in claim_checks(campaign.settings):
+        # a crashed claim fails on its own; the others still run
+        try:
+            result = runner()
+        except Exception as exc:
+            result = CriterionResult(
+                claim_id, "runner crashed", False, float("-inf"), [], 0.0,
+                note=f"error: {exc!r}",
+            )
+        write_rows_csv(out_dir / f"{claim_id}.csv", result.rows, stable)
+        results.append(result)
     payload = write_summary(out_dir / "summary.json", results, campaign.seed, stable)
     for res in results:
         _print_result(res)
@@ -383,6 +347,7 @@ def cmd_report(args) -> int:
 def cmd_blip(args) -> int:
     moll = standard_mollifier(args.epsilon)
     window = ModeWindow(args.cutoff)
+    window.require_matrix_budget()  # before any synthesis
     b = blip(moll, window, args.grid)
     shifted = b.periodic.shifted(args.center)
     tail = coefficient_tail(moll, window, args.grid)
@@ -444,8 +409,12 @@ def _pair_specs(args) -> tuple[AnyonSpec, AnyonSpec]:
     )
 
 
-def _monotone(errors: Sequence[float], floor: float = 1e-12) -> bool:
-    return all(nxt <= max(prev, floor) for prev, nxt in zip(errors, errors[1:]))
+# errors at this level count as converged, so a later window may match them
+_MONOTONE_FLOOR = 1e-12
+
+
+def _monotone(errors: Sequence[float]) -> bool:
+    return all(nxt <= max(prev, _MONOTONE_FLOOR) for prev, nxt in zip(errors, errors[1:]))
 
 
 def cmd_commutation(args) -> int:
@@ -718,7 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run a verification campaign from an INI config")
     p.add_argument("--config", default=None, help="campaign config; defaults to the shipped suite")
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--stable-timings", action="store_true",
                    help="zero the timing columns for byte-reproducible output")
     p.set_defaults(handler=cmd_report)

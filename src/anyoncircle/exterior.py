@@ -31,10 +31,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import NotHermitian, ResourceLimit
-from .modes import ModeWindow
-
-# bytes of the largest array one minor computation may build
-_MINOR_BUDGET_BYTES = 1 << 27
+from .modes import ARRAY_BUDGET_BYTES, ModeWindow
 
 
 def gauge_signs(slots: np.ndarray, window: ModeWindow) -> np.ndarray:
@@ -50,11 +47,12 @@ def require_minor_budget(window: ModeWindow, pairs: int, order: int) -> None:
     """Raise if the largest complex array of a minor computation, the stack
     of ``pairs`` minors of the given order or a one-particle matrix of the
     window, would pass the budget."""
-    need = 16 * max(pairs * order * order, window.size**2)
-    if need > _MINOR_BUDGET_BYTES:
+    window.require_matrix_budget()
+    need = 16 * pairs * order * order
+    if need > ARRAY_BUDGET_BYTES:
         raise ResourceLimit(
             f"minors at M={window.cutoff} need a {need / 2**20:.0f} MiB array; "
-            f"the budget is {_MINOR_BUDGET_BYTES >> 20} MiB"
+            f"the budget is {ARRAY_BUDGET_BYTES >> 20} MiB"
         )
 
 

@@ -34,6 +34,13 @@ from .exterior import require_minor_budget
 from .modes import ModeWindow, OneParticleOperator
 
 _DENSE_DIM_LIMIT = 2048
+# relative tolerances of the structure checks on one-particle input
+_DIAGONAL_TOL = 1e-12
+_HERMITIAN_TOL = 1e-10
+_SHIFT_TOL = 1e-12
+_KERNEL_TOL = 1e-10
+# relative singular-value cut of the block pseudo-inverses
+_PINV_THRESHOLD = 1e-8
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
@@ -182,9 +189,7 @@ def charge_operator(basis: FockBasis) -> FockOperator:
     return FockOperator(basis, sp.diags(diag).tocsr())
 
 
-def second_quantize_diagonal(
-    u: OneParticleOperator, basis: FockBasis, tol: float = 1e-12
-) -> FockOperator:
+def second_quantize_diagonal(u: OneParticleOperator, basis: FockBasis) -> FockOperator:
     """Multiplicative second quantization of a diagonal one-particle unitary.
 
     Each occupation state is multiplied by the product of eigenvalues of the
@@ -194,7 +199,7 @@ def second_quantize_diagonal(
     """
     mat = u.matrix
     off = mat - np.diag(np.diag(mat))
-    if np.max(np.abs(off)) > tol * max(1.0, np.max(np.abs(mat))):
+    if np.max(np.abs(off)) > _DIAGONAL_TOL * max(1.0, np.max(np.abs(mat))):
         raise NotDiagonal("second_quantize_diagonal requires a diagonal operator")
     eig = np.diag(mat)
     masks = np.arange(basis.dim, dtype=np.int64)
@@ -228,12 +233,10 @@ def dgamma(a: OneParticleOperator, basis: FockBasis) -> FockOperator:
     return FockOperator(basis, total.tocsr())
 
 
-def implementer_exp(
-    a: OneParticleOperator, t: float, basis: FockBasis, herm_tol: float = 1e-10
-) -> FockOperator:
+def implementer_exp(a: OneParticleOperator, t: float, basis: FockBasis) -> FockOperator:
     """Unitary exp(i t dG(A)) for Hermitian A, one charge block at a time."""
     dev = np.max(np.abs(a.matrix - a.matrix.conj().T))
-    if dev > herm_tol * max(1.0, float(np.max(np.abs(a.matrix)))):
+    if dev > _HERMITIAN_TOL * max(1.0, float(np.max(np.abs(a.matrix)))):
         raise NotHermitian(f"generator deviates from Hermitian by {dev:.3e}")
     gen = dgamma(a, basis).matrix
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
@@ -243,12 +246,12 @@ def implementer_exp(
     return FockOperator(basis, mat)
 
 
-def _is_canonical_shift(v: OneParticleOperator, tol: float) -> bool:
+def _is_canonical_shift(v: OneParticleOperator) -> bool:
     expected = np.eye(v.window.size, k=-1, dtype=complex)
-    return bool(np.max(np.abs(v.matrix - expected)) <= tol)
+    return bool(np.max(np.abs(v.matrix - expected)) <= _SHIFT_TOL)
 
 
-def implementer_shift(v: OneParticleOperator, basis: FockBasis, tol: float = 1e-12) -> FockOperator:
+def implementer_shift(v: OneParticleOperator, basis: FockBasis) -> FockOperator:
     """Charge-raising implementer of the truncated mode shift.
 
     G(V) = a*(e_0) G_+(-V++) G_-(-conj V--) + G_+(-V++) G_-(-conj V--) b(e_-),
@@ -258,7 +261,7 @@ def implementer_shift(v: OneParticleOperator, basis: FockBasis, tol: float = 1e-
     """
     if v.window != basis.window:
         raise WrongClass("shift operator window does not match the Fock basis")
-    if not _is_canonical_shift(v, tol):
+    if not _is_canonical_shift(v):
         raise WrongClass(
             "implementer_shift expects the canonical truncated shift e_n -> e_(n+1)"
         )
@@ -330,12 +333,12 @@ def _checked_pinv(block: np.ndarray, threshold: float) -> np.ndarray:
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def conjugate_blocks(v: OneParticleOperator, threshold: float = 1e-8) -> ConjugateBlocks:
+def conjugate_blocks(v: OneParticleOperator) -> ConjugateBlocks:
     vpp = v.plus_plus
     vmm = v.minus_minus
     vmp = v.minus_plus
-    pinv_pp_star = _checked_pinv(vpp.conj().T, threshold)
-    pinv_mm = _checked_pinv(vmm, threshold)
+    pinv_pp_star = _checked_pinv(vpp.conj().T, _PINV_THRESHOLD)
+    pinv_mm = _checked_pinv(vmm, _PINV_THRESHOLD)
     return ConjugateBlocks(
         plus_plus=-pinv_pp_star,
         plus_minus=-pinv_pp_star @ vmp.conj().T,
@@ -416,15 +419,15 @@ def ec_normal_ordered(z: ConjugateBlocks, basis: FockBasis) -> FockOperator:
     return FockOperator(basis, (left @ middle.matrix @ right).tocsr())
 
 
-def _kernel_unit_vector(block: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _kernel_unit_vector(block: np.ndarray) -> np.ndarray:
     """Canonical unit kernel vector of a square block with 1-dim kernel.
 
     Phase fixed by making the largest-magnitude component positive real.
     """
     _, sigma, vh = np.linalg.svd(block)
-    if sigma[-1] > tol * max(1.0, sigma[0]):
+    if sigma[-1] > _KERNEL_TOL * max(1.0, sigma[0]):
         raise WrongClass("minus-minus block has no kernel: not a unit charge shift")
-    if sigma.size > 1 and sigma[-2] <= tol * max(1.0, sigma[0]):
+    if sigma.size > 1 and sigma[-2] <= _KERNEL_TOL * max(1.0, sigma[0]):
         raise WrongClass("minus-minus block kernel is not one-dimensional")
     vec = vh.conj().T[:, -1]
     k = int(np.argmax(np.abs(vec)))

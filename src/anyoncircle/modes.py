@@ -17,9 +17,11 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .covering import TWO_PI
-from .errors import GridTooCoarse, WindowMismatch
+from .errors import GridTooCoarse, ResourceLimit, WindowMismatch
 
 SQRT_TWO_PI = math.sqrt(TWO_PI)
+# bytes of the largest array one construction may build
+ARRAY_BUDGET_BYTES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,24 @@ class ModeWindow:
 
     def default_grid(self) -> int:
         return 8 * (self.cutoff + 1)
+
+    def require_grid(self, grid_size: int) -> None:
+        """Raise unless the grid resolves every coefficient the window needs
+        without aliasing: G >= 4M + 4."""
+        if grid_size < 4 * self.cutoff + 4:
+            raise GridTooCoarse(
+                f"grid {grid_size} < 4M+4 = {4 * self.cutoff + 4} for M={self.cutoff}"
+            )
+
+    def require_matrix_budget(self) -> None:
+        """Raise ``ResourceLimit`` when a one-particle matrix of the window,
+        (2M+1)^2 complex entries, would pass the byte budget."""
+        need = 16 * self.size**2
+        if need > ARRAY_BUDGET_BYTES:
+            raise ResourceLimit(
+                f"a one-particle matrix at M={self.cutoff} needs {need / 2**20:.1f} MiB; "
+                f"the budget is {ARRAY_BUDGET_BYTES >> 20} MiB"
+            )
 
 
 def grid_points(grid_size: int) -> np.ndarray:
@@ -135,10 +155,7 @@ def analyze(
     n_max = 2 * window.cutoff + 1
     if grid_size is None:
         grid_size = max(window.default_grid(), 2 * n_max + 2)
-    if grid_size < 4 * window.cutoff + 4:
-        raise GridTooCoarse(
-            f"grid {grid_size} < 4M+4 = {4 * window.cutoff + 4} for M={window.cutoff}"
-        )
+    window.require_grid(grid_size)
     if callable(f):
         samples = np.asarray(f(grid_points(grid_size)), dtype=complex)
     else:
@@ -146,10 +163,7 @@ def analyze(
         if samples.ndim != 1:
             raise ValueError("sample input must be one-dimensional")
         grid_size = samples.size
-        if grid_size < 4 * window.cutoff + 4:
-            raise GridTooCoarse(
-                f"grid {grid_size} < 4M+4 = {4 * window.cutoff + 4} for M={window.cutoff}"
-            )
+        window.require_grid(grid_size)
     spectrum = np.fft.fft(samples) * (SQRT_TWO_PI / grid_size)
     coeffs = np.empty(2 * n_max + 1, dtype=complex)
     for n in range(-n_max, n_max + 1):
@@ -158,9 +172,7 @@ def analyze(
 
 
 def from_coefficients(
-    coefficients: dict[int, complex] | np.ndarray,
-    n_max: int,
-    grid_size: int | None = None,
+    coefficients: dict[int, complex] | np.ndarray, n_max: int
 ) -> PeriodicFunction:
     """Build a PeriodicFunction from exact coefficients.
 
@@ -178,9 +190,7 @@ def from_coefficients(
         if arr.shape != (2 * n_max + 1,):
             raise ValueError("coefficient array must have length 2*n_max+1")
         coeffs = arr
-    if grid_size is None:
-        grid_size = max(4 * n_max + 4, 16)
-    xs = grid_points(grid_size)
+    xs = grid_points(max(4 * n_max + 4, 16))
     ns = np.arange(-n_max, n_max + 1)
     samples = np.exp(1j * np.outer(xs, ns)) @ coeffs / SQRT_TWO_PI
     return PeriodicFunction(samples, coeffs, n_max)
@@ -250,6 +260,7 @@ def multiplication_operator(f: PeriodicFunction, window: ModeWindow) -> OneParti
         raise WindowMismatch(
             f"need coefficients up to |n|={need}, function retains {f.n_max}"
         )
+    window.require_matrix_budget()
     k0 = f.n_max
     first_col = f.coefficients[k0 : k0 + window.size] / SQRT_TWO_PI
     first_row = f.coefficients[k0 - window.size + 1 : k0 + 1][::-1] / SQRT_TWO_PI

@@ -1,5 +1,6 @@
 """Exit codes, output schema, and reproducibility of the command line."""
 
+import configparser
 import json
 import math
 import time
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from anyoncircle import anyon, fock
-from anyoncircle.cli import CSV_HEADER, _job_count, load_campaign, main, run_tasks, write_summary
+from anyoncircle import acceptance, anyon, fock
+from anyoncircle.cli import CSV_HEADER, load_campaign, main, write_summary
 from anyoncircle.acceptance import (
     CLAIM_IDS,
     CriterionResult,
@@ -51,50 +52,6 @@ def _write_cfg(tmp_path: Path, scale: float) -> Path:
     cfg = tmp_path / "suite.cfg"
     cfg.write_text(REDUCED_CFG.format(scale=scale))
     return cfg
-
-
-# ------------------------------------------------------------ worker pool
-
-
-def test_pool_preserves_submission_order():
-    tasks = [(lambda k=k: k * k) for k in range(23)]
-    assert run_tasks(tasks, 4) == [k * k for k in range(23)]
-    assert run_tasks(tasks, 1) == [k * k for k in range(23)]
-
-
-def test_pool_runs_remaining_tasks_after_failure():
-    # the sleeps keep later tasks queued when the first one fails, so a pool
-    # that cancels pending work on the first error would drop them
-    seen = []
-
-    def ok(k):
-        time.sleep(0.01)
-        seen.append(k)
-        return k
-
-    def boom(msg):
-        raise RuntimeError(msg)
-
-    tasks = [lambda: boom("first"), lambda: ok(1), lambda: boom("second")]
-    tasks += [(lambda k=k: ok(k)) for k in range(3, 8)]
-    with pytest.raises(RuntimeError, match="first"):
-        run_tasks(tasks, 2)
-    assert sorted(seen) == [1, 3, 4, 5, 6, 7]
-
-
-def test_pool_rejects_zero_jobs():
-    with pytest.raises(ValueError):
-        run_tasks([], 0)
-
-
-def test_job_count_precedence(monkeypatch):
-    monkeypatch.setenv("ANYON_JOBS", "3")
-    assert _job_count(None) == 3
-    assert _job_count(2) == 2
-    monkeypatch.setenv("ANYON_JOBS", "not-a-number")
-    assert _job_count(None) == 1
-    monkeypatch.delenv("ANYON_JOBS")
-    assert _job_count(None) == 1
 
 
 # -------------------------------------------------------- simple probes
@@ -278,7 +235,7 @@ def test_report_reduced_campaign_reproducible(tmp_path, capsys):
     assert main(["report", "--config", str(cfg), "--output-dir", str(out_a),
                  "--stable-timings"]) == 0
     assert main(["report", "--config", str(cfg), "--output-dir", str(out_b),
-                 "--stable-timings", "--jobs", "3"]) == 0
+                 "--stable-timings"]) == 0
     capsys.readouterr()
 
     names = sorted(p.name for p in out_a.iterdir())
@@ -312,6 +269,32 @@ def test_report_failure_sets_exit_one(tmp_path, capsys):
     assert by_id["winding-algebra"]["status"] == "pass"
 
 
+def test_report_crashed_claim_does_not_abort_the_others(tmp_path, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("planted crash")
+
+    monkeypatch.setattr(acceptance, "check_hs_dichotomy", crash)
+    out = tmp_path / "crash"
+    assert main(["report", "--config", str(_write_cfg(tmp_path, scale=4.0)),
+                 "--output-dir", str(out), "--stable-timings"]) == 1
+    capsys.readouterr()
+    summary = _strict_json((out / "summary.json").read_text())
+    assert [c["claim_id"] for c in summary["claims"]] == list(CLAIM_IDS)
+    by_id = {c["claim_id"]: c for c in summary["claims"]}
+    crashed = by_id.pop("lemma-hs-dichotomy")
+    assert crashed["status"] == "fail" and crashed["margin"] is None
+    assert crashed["note"] == "error: RuntimeError('planted crash')"
+    assert (out / "lemma-hs-dichotomy.csv").read_text() == CSV_HEADER + "\n"
+    assert all(c["status"] == "pass" and c["cases"] > 0 for c in by_id.values())
+
+
+def test_report_has_no_jobs_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "--config", str(_write_cfg(tmp_path, scale=4.0)), "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 def test_report_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("[campaign]\nseeed = 1\n")
@@ -334,6 +317,52 @@ def test_report_rejects_negative_counts(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert "config error" in err and "expected a count >= 0" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, line, message",
+    [
+        ("schwinger", "grid = 100", "grid 100 < 4M+4"),
+        ("hs", "epsilon = 2.0", "epsilon must lie in (0, pi/2)"),
+        ("campaign", "seed = -1", "expected a count >= 0"),
+        ("cones", "scan_seed = -3", "expected a count >= 0"),
+        ("schwinger", "cutoffs = 0,4", "window cutoff must be >= 1"),
+        ("hs", "cutoffs = 0,8", "window cutoff must be >= 1"),
+        ("hs", "cutoffs = 8,100000", "MiB"),
+    ],
+    ids=["grid", "epsilon", "seed", "scan_seed", "schwinger-cutoffs", "hs-cutoffs",
+         "hs-budget"],
+)
+def test_report_rejects_values_that_crash_a_claim(tmp_path, capsys, section, line, message):
+    # each value once loaded and then crashed its claim with margin -inf
+    parser = configparser.ConfigParser()
+    parser.read_string(REDUCED_CFG.format(scale=4.0))
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, *line.split(" = "))
+    cfg = tmp_path / "suite.cfg"
+    with cfg.open("w") as fh:
+        parser.write(fh)
+    assert main(["report", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"[{section}] {line.split()[0]}" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["blip", "--epsilon", "0.3", "--cutoff", "100000"], ["hs-norm", "--cutoffs", "8,100000"]],
+    ids=["blip", "hs-norm"],
+)
+def test_one_particle_matrix_past_the_budget_exits_two(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a blip was synthesized")
+
+    monkeypatch.setattr(acceptance, "blip", refuse)
+    monkeypatch.setattr("anyoncircle.cli.blip", refuse)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "M=100000" in err and "MiB" in err
 
 
 @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0, 1e9, 300.0])

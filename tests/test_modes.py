@@ -7,10 +7,11 @@ import pytest
 
 from anyoncircle.blip import blip, standard_mollifier
 from anyoncircle.covering import TWO_PI
-from anyoncircle.errors import GridTooCoarse, WindowMismatch
+from anyoncircle.errors import GridTooCoarse, ResourceLimit, WindowMismatch
 from anyoncircle.modes import (
     ModeWindow,
     OneParticleOperator,
+    PeriodicFunction,
     analyze,
     grid_points,
     hs_offdiag_norm_sq,
@@ -94,6 +95,16 @@ def test_multiplication_needs_enough_coefficients():
     w = ModeWindow(5)
     f = analyze(lambda x: np.cos(x), ModeWindow(1))
     with pytest.raises(WindowMismatch):
+        multiplication_operator(f, w)
+
+
+def test_multiplication_operator_checks_the_byte_budget_first():
+    # 2895^2 complex entries are 127.9 MiB, the last window under 128 MiB
+    ModeWindow(1447).require_matrix_budget()
+    w = ModeWindow(1448)
+    n_max = 2 * w.cutoff
+    f = PeriodicFunction(np.zeros(16), np.zeros(2 * n_max + 1), n_max)
+    with pytest.raises(ResourceLimit, match="M=1448 needs 128.1 MiB"):
         multiplication_operator(f, w)
 
 
