@@ -453,7 +453,7 @@ def check_implementer_algebra(
         u1 = _free_rotation(basis, omega)
         lhs = u1 @ g @ u1.dagger()
         rhs = g @ _charge_rotation(basis, omega)
-        cov_err = float(np.max(np.abs((lhs.matrix - rhs.matrix) @ probes)))
+        cov_err = float(np.max(np.abs((lhs - rhs).apply(probes))))
         gate.below(cov_err, cov_tol)
         rows.append(
             CaseRow(
@@ -480,7 +480,7 @@ def check_implementer_crossval(cutoff: int = 4, tol: float = 1e-8) -> CriterionR
     g = implementer_shift(v, basis)
     e = ec_route_implementer(v, basis)
     probes = probe_matrix(basis, truncation_safe_probes(basis, (-1, 0, 1), margin=2))
-    err = float(np.max(np.abs((e.matrix - g.matrix) @ probes)))
+    err = float(np.max(np.abs((e - g).apply(probes))))
     gate.below(err, tol)
     rows = [CaseRow("crossval-probe-block", cutoff, _params(), 1.0 + 0j, 1.0 + 0j, err)]
     return CriterionResult(
@@ -698,7 +698,7 @@ def check_rotation_identities(
             a, b = (float(x) for x in rng.uniform(-10.0, 10.0, size=2))
             lhs = rotation_rep(a, spin, basis) @ rotation_rep(b, spin, basis)
             rhs = rotation_rep(a + b, spin, basis)
-            worst = max(worst, float(np.max(np.abs((lhs.matrix - rhs.matrix) @ probes))))
+            worst = max(worst, float(np.max(np.abs((lhs - rhs).apply(probes)))))
         gate.below(worst, GROUP_LAW_TOL)
         rows.append(
             CaseRow(

@@ -34,6 +34,7 @@ from .exterior import dressing_unitary, require_minor_budget, shift_sign, wedge_
 from .fock import (
     FockBasis,
     FockOperator,
+    diagonal_operator,
     implementer_exp,
     implementer_shift,
     phase_from_elements,
@@ -42,8 +43,6 @@ from .fock import (
 )
 from .modes import ModeWindow, OneParticleOperator, multiplication_operator, shift_operator
 from .schwinger import schwinger_blip_closed_form
-
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -136,17 +135,13 @@ def build_field(spec: AnyonSpec, window: ModeWindow) -> AnyonField:
     base = spec.omega.base
 
     shift_impl = implementer_shift(shift_operator(window), basis)
-    u0q = sp.diags(np.exp(-1j * omega * basis.charges.astype(float))).tocsr()
-    pre = sp.diags(charge_prefactor(spec.spin, omega, basis.charges)).tocsr()
+    u0q = diagonal_operator(basis, np.exp(-1j * omega * basis.charges.astype(float)))
+    pre = diagonal_operator(basis, charge_prefactor(spec.spin, omega, basis.charges))
+    operator = pre @ shift_impl @ u0q
     coupling = spec.coupling
-    if coupling == 0.0:
-        dressing_mat: np.ndarray | sp.spmatrix = sp.identity(basis.dim, dtype=complex, format="csr")
-    else:
+    if coupling != 0.0:
         full_symbol = blip_multiplier(spec.mollifier, window, base, drop_mean=False)
-        dressing = implementer_exp(OneParticleOperator(window, full_symbol), coupling, basis)
-        dressing_mat = dressing.matrix
-    mat = pre @ (shift_impl.matrix @ (u0q @ dressing_mat))
-    operator = FockOperator(basis, mat)
+        operator = operator @ implementer_exp(OneParticleOperator(window, full_symbol), coupling, basis)
     tail = coefficient_tail(spec.mollifier, window)
     return AnyonField(spec, operator, spec.localization, tail)
 
@@ -159,7 +154,7 @@ def rotation_rep(omega: float, spin: float, basis: FockBasis) -> FockOperator:
     exp(2 pi i s q^2) on the charge-q sector by construction.
     """
     diag = rotation_phases(omega, spin, basis.charges.astype(float), basis.theta)
-    return FockOperator(basis, sp.diags(diag).tocsr())
+    return diagonal_operator(basis, diag)
 
 
 def rotation_phases(omega: float, spin: float, charge, theta: np.ndarray) -> np.ndarray:

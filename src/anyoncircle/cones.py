@@ -24,11 +24,11 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .covering import CoveringInterval
 from .errors import DegenerateGeometry, ResourceLimit
 from .fock import phase_from_elements
+from .modes import ARRAY_BUDGET_BYTES
 
 
 def direction_vector(mu: float) -> np.ndarray:
@@ -192,6 +192,13 @@ class TestFunctionSpace:
 
     def __post_init__(self):
         k = len(self.labels)
+        # the Fock operators are dense complex (2^k, 2^k) arrays
+        need = 16 << (2 * k)
+        if need > ARRAY_BUDGET_BYTES:
+            raise ResourceLimit(
+                f"{k} test functions need a {need / 2**20:.0f} MiB Fock operator; "
+                f"the budget is {ARRAY_BUDGET_BYTES >> 20} MiB"
+            )
         self.gram = np.asarray(self.gram, dtype=complex)
         if self.gram.shape != (k, k):
             raise ValueError("Gram matrix shape does not match the label count")
@@ -222,38 +229,37 @@ class TestFunctionSpace:
     def fock_dim(self) -> int:
         return 1 << self.size
 
-    def _ladder(self, k: int) -> sp.csr_matrix:
+    def _ladder(self, k: int) -> np.ndarray:
+        """Annihilator of orthonormal mode k on the 2^size-dimensional space."""
         if self._ladders is None:
             self._ladders = {}
         if k not in self._ladders:
             dim = self.fock_dim
             masks = np.arange(dim, dtype=np.int64)
             bit = np.int64(1) << k
-            occupied = (masks & bit) != 0
-            src = masks[occupied]
-            dst = src ^ bit
+            src = masks[(masks & bit) != 0]
             signs = 1.0 - 2.0 * (np.bitwise_count(src & (bit - 1)).astype(np.int64) & 1)
-            self._ladders[k] = sp.csr_matrix(
-                (signs.astype(complex), (dst, src)), shape=(dim, dim)
-            )
+            ladder = np.zeros((dim, dim), dtype=complex)
+            ladder[src ^ bit, src] = signs
+            self._ladders[k] = ladder
         return self._ladders[k]
 
-    def creator(self, i: int) -> sp.csr_matrix:
+    def creator(self, i: int) -> np.ndarray:
         """c*(f_i) as a sum of orthonormal-mode creators."""
-        total = sp.csr_matrix((self.fock_dim, self.fock_dim), dtype=complex)
+        total = np.zeros((self.fock_dim, self.fock_dim), dtype=complex)
         for k in range(self.size):
             coeff = self._mode_vectors[k, i]
             if coeff != 0:
                 total = total + coeff * self._ladder(k).conj().T
-        return total.tocsr()
+        return total
 
-    def annihilator(self, i: int) -> sp.csr_matrix:
-        return self.creator(i).conj().T.tocsr()
+    def annihilator(self, i: int) -> np.ndarray:
+        return self.creator(i).conj().T
 
 
-def fermi_field(i: int, space: TestFunctionSpace) -> sp.csr_matrix:
+def fermi_field(i: int, space: TestFunctionSpace) -> np.ndarray:
     """Psi(f_i) = c*(f_i) + c(f_i), self-adjoint since f_i is real."""
-    return (space.creator(i) + space.annihilator(i)).tocsr()
+    return space.creator(i) + space.annihilator(i)
 
 
 def fermi_exchange_elements(
@@ -262,7 +268,7 @@ def fermi_exchange_elements(
     """Dense element tables of Psi_i Psi_j against Psi_j Psi_i."""
     psi_i = fermi_field(i, space)
     psi_j = fermi_field(j, space)
-    return (psi_i @ psi_j).toarray(), (psi_j @ psi_i).toarray()
+    return psi_i @ psi_j, psi_j @ psi_i
 
 
 def tensor_exchange_from_parts(

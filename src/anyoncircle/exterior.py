@@ -28,7 +28,6 @@ and the minor size q + M, not by the Fock dimension.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NotHermitian, ResourceLimit
 from .modes import ARRAY_BUDGET_BYTES, ModeWindow
@@ -84,6 +83,18 @@ def wedge_elements(
     return signs * np.linalg.det(minors)
 
 
+def hermitian_exp(matrix: np.ndarray, t: float) -> np.ndarray:
+    """exp(i t H) for the Hermitian part H = (matrix + matrix*)/2, from the
+    eigendecomposition H = V diag(lambda) V*.
+
+    V diag(exp(i t lambda)) V* is written as I + V diag(expm1(i t lambda)) V*,
+    so that t = 0, the spin-1/2 coupling, gives the identity exactly.
+    """
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
+    correction = (vectors * np.expm1(1j * t * eigenvalues)) @ vectors.conj().T
+    return np.eye(len(eigenvalues), dtype=complex) + correction
+
+
 def dressing_unitary(
     matrix: np.ndarray, t: float, window: ModeWindow
 ) -> tuple[complex, np.ndarray]:
@@ -93,7 +104,7 @@ def dressing_unitary(
     if dev > 1e-10 * max(1.0, float(np.max(np.abs(matrix)))):
         raise NotHermitian(f"generator deviates from Hermitian by {dev:.3e}")
     minus_trace = np.trace(matrix[: window.n_minus, : window.n_minus])
-    return complex(np.exp(-1j * t * minus_trace)), expm(1j * t * matrix)
+    return complex(np.exp(-1j * t * minus_trace)), hermitian_exp(matrix, t)
 
 
 def shift_sign(window: ModeWindow, charge: int) -> float:

@@ -8,17 +8,23 @@ parities below the acted slot, so the canonical anticommutation relations
 hold with all a's anticommuting with all b's.
 
 The charge operator is Q = sum_(n>=0) a*_n a_n - sum_(n<0) b*_n b_n.
+
+Operators are matrix-free: a ``FockOperator`` is a linear map on column
+blocks of shape (dim, k) together with its adjoint, and products, sums and
+scalar multiples compose the maps.  Ladders, diagonals and the shift
+implementer are gathers of indices and amplitudes, so no dim x dim array is
+formed except by ``to_dense``, which is for tests on small windows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm as dense_expm
 
 from .errors import (
     NoSignificantEntries,
@@ -30,7 +36,7 @@ from .errors import (
     WindowTooSmall,
     WrongClass,
 )
-from .exterior import require_minor_budget
+from .exterior import hermitian_exp, require_minor_budget
 from .modes import ModeWindow, OneParticleOperator
 
 _DENSE_DIM_LIMIT = 2048
@@ -41,10 +47,19 @@ _SHIFT_TOL = 1e-12
 _KERNEL_TOL = 1e-10
 # relative singular-value cut of the block pseudo-inverses
 _PINV_THRESHOLD = 1e-8
+# columns per block when an operator is applied: small blocks keep every
+# temporary of a composed map small
+_BLOCK_COLUMNS = 16
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr).astype(np.int64)
+
+
+def _jw_signs(masks: np.ndarray, slot) -> np.ndarray:
+    """Jordan-Wigner sign of a ladder on ``slot``: the parity of the
+    occupied slots below it."""
+    return 1.0 - 2.0 * (_popcount(masks & ((np.int64(1) << slot) - 1)) & 1)
 
 
 def rotation_weights(slots: np.ndarray, window: ModeWindow) -> np.ndarray:
@@ -77,9 +92,13 @@ class FockBasis:
             _popcount(masks & self.plus_bits) - _popcount(masks & self.minus_bits)
         ).astype(np.int8)
         self.theta = np.zeros(dim, dtype=np.int64)
-        for q in np.unique(self.charges):
-            sector = self.sector_masks(int(q))
+        for q in self.sector_charges():
+            sector = self.sector_masks(q)
             self.theta[sector] = rotation_weights(self.raw_slots(sector), window)
+
+    def sector_charges(self) -> range:
+        """Every charge with a state: -M (all holes) to M + 1 (all particles)."""
+        return range(-self.window.n_minus, self.window.n_plus + 1)
 
     def slot(self, mode: int) -> int:
         return self.window.slot(mode)
@@ -122,51 +141,140 @@ class FockBasis:
         return self.basis_vector(0)
 
 
-@dataclass
+# the action of an operator on a column block of shape (dim, k)
+BlockMap = Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
 class FockOperator:
-    """Linear operator on the truncated Fock space."""
+    """Linear operator on the truncated Fock space, held as its action on
+    column blocks of shape (dim, k) and the action of its adjoint.
+
+    An action never writes to its input and returns a new C-ordered array,
+    which the sums and scalar multiples below update in place.
+    """
 
     basis: FockBasis
-    matrix: sp.spmatrix | np.ndarray
+    action: BlockMap
+    adjoint_action: BlockMap
+
+    # numpy scalars defer to __rmul__ instead of broadcasting over the operator
+    __array_ufunc__ = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.matrix @ x)
+        """Image of a vector of length dim or of a (dim, k) block, computed
+        _BLOCK_COLUMNS columns at a time."""
+        x = np.asarray(x, dtype=complex)
+        cols = x.reshape(self.basis.dim, -1)
+        out = np.empty_like(cols)
+        for start in range(0, cols.shape[1], _BLOCK_COLUMNS):
+            block = slice(start, start + _BLOCK_COLUMNS)
+            out[:, block] = self.action(cols[:, block])
+        return out.reshape(x.shape)
 
     def dagger(self) -> "FockOperator":
-        mat = self.matrix.conj().T
-        if sp.issparse(mat):
-            mat = mat.tocsr()
-        return FockOperator(self.basis, mat)
+        return FockOperator(self.basis, self.adjoint_action, self.action)
 
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
+    def _same_space(self, other: "FockOperator") -> None:
         if self.basis is not other.basis and self.basis.window != other.basis.window:
             raise ValueError("operators live on different Fock spaces")
-        return FockOperator(self.basis, self.matrix @ other.matrix)
+
+    def __matmul__(self, other: "FockOperator") -> "FockOperator":
+        self._same_space(other)
+        return FockOperator(
+            self.basis,
+            lambda x: self.action(other.action(x)),
+            lambda y: other.adjoint_action(self.adjoint_action(y)),
+        )
+
+    def _combine(self, other: "FockOperator", ufunc: np.ufunc) -> "FockOperator":
+        self._same_space(other)
+
+        def combined(first: BlockMap, second: BlockMap, x: np.ndarray) -> np.ndarray:
+            out = first(x)
+            return ufunc(out, second(x), out=out)
+
+        return FockOperator(
+            self.basis,
+            lambda x: combined(self.action, other.action, x),
+            lambda y: combined(self.adjoint_action, other.adjoint_action, y),
+        )
+
+    def __add__(self, other: "FockOperator") -> "FockOperator":
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: "FockOperator") -> "FockOperator":
+        return self._combine(other, np.subtract)
+
+    def __rmul__(self, scalar: complex) -> "FockOperator":
+        def scaled(action: BlockMap, c: complex, x: np.ndarray) -> np.ndarray:
+            out = action(x)
+            out *= c
+            return out
+
+        c = complex(scalar)
+        return FockOperator(
+            self.basis,
+            lambda x: scaled(self.action, c, x),
+            lambda y: scaled(self.adjoint_action, c.conjugate(), y),
+        )
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray() if sp.issparse(self.matrix) else np.asarray(self.matrix)
+        """The full matrix, the image of the identity; small windows only."""
+        return self.apply(np.eye(self.basis.dim, dtype=complex))
 
     def sector_scan(self, tol: float = 0.0) -> set[int]:
-        """Observed charge shifts over all matrix entries above tol."""
-        mat = sp.coo_matrix(self.matrix)
-        keep = np.abs(mat.data) > tol
-        rows = mat.row[keep]
-        cols = mat.col[keep]
-        shifts = self.basis.charges[rows].astype(int) - self.basis.charges[cols].astype(int)
-        return set(np.unique(shifts).tolist())
+        """Observed charge shifts over all matrix entries above tol, from the
+        images of the basis vectors of each sector, _BLOCK_COLUMNS at a time."""
+        charges = self.basis.charges
+        # one input block, reset after each use, so its pages stay mapped
+        block = np.zeros((self.basis.dim, _BLOCK_COLUMNS), dtype=complex)
+        shifts: set[int] = set()
+        for q in self.basis.sector_charges():
+            sector = self.basis.sector_masks(q)
+            for start in range(0, sector.size, _BLOCK_COLUMNS):
+                cols = sector[start : start + _BLOCK_COLUMNS]
+                units = (cols, np.arange(cols.size))
+                block[units] = 1.0
+                image = self.action(block[:, : cols.size])
+                # rows holding a nonzero entry, found on the float view; the
+                # modulus is taken on those rows only
+                rows = np.flatnonzero(image.view(np.float64).any(axis=1))
+                rows = rows[(np.abs(image[rows]) > tol).any(axis=1)]
+                shifts.update(int(c) - q for c in set(charges[rows].tolist()))
+                block[units] = 0.0
+        return shifts
 
 
-def _elementary_annihilator(basis: FockBasis, slot: int) -> sp.csr_matrix:
-    masks = np.arange(basis.dim, dtype=np.int64)
-    bit = np.int64(1) << slot
-    below = bit - 1
-    occupied = (masks & bit) != 0
-    src = masks[occupied]
-    dst = src ^ bit
-    signs = 1.0 - 2.0 * (_popcount(src & below) & 1)
-    return sp.csr_matrix(
-        (signs.astype(complex), (dst, src)), shape=(basis.dim, basis.dim)
+def _gather(basis: FockBasis, dst: np.ndarray, src: np.ndarray, amp: np.ndarray) -> FockOperator:
+    """The operator with entry amp[i] at (dst[i], src[i]) and zeros elsewhere;
+    no index repeats within dst or within src."""
+    amp = np.asarray(amp, dtype=complex)[:, None]
+    amp_conj = amp.conj()
+
+    def move(x: np.ndarray, to: np.ndarray, frm: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        # scaled in place: a fresh temporary per product costs page faults
+        values = x[frm]
+        values *= scale
+        out = np.zeros((basis.dim, x.shape[1]), dtype=complex)
+        out[to] = values
+        return out
+
+    return FockOperator(
+        basis, lambda x: move(x, dst, src, amp), lambda y: move(y, src, dst, amp_conj)
     )
+
+
+def diagonal_operator(basis: FockBasis, diagonal: np.ndarray) -> FockOperator:
+    d = np.asarray(diagonal, dtype=complex)[:, None]
+    d_conj = d.conj()
+    return FockOperator(basis, lambda x: d * x, lambda y: d_conj * y)
+
+
+def _elementary_annihilator(basis: FockBasis, slot: int) -> FockOperator:
+    masks = np.arange(basis.dim, dtype=np.int64)
+    src = masks[((masks >> slot) & 1) == 1]
+    return _gather(basis, src ^ (np.int64(1) << slot), src, _jw_signs(src, slot))
 
 
 def car_operators(basis: FockBasis) -> dict[tuple[str, int], FockOperator]:
@@ -174,19 +282,14 @@ def car_operators(basis: FockBasis) -> dict[tuple[str, int], FockOperator]:
     ops: dict[tuple[str, int], FockOperator] = {}
     for n in basis.window.modes:
         ann = _elementary_annihilator(basis, basis.slot(int(n)))
-        cre = ann.conj().T.tocsr()
-        if n >= 0:
-            ops[("a", int(n))] = FockOperator(basis, ann)
-            ops[("a_dag", int(n))] = FockOperator(basis, cre)
-        else:
-            ops[("b", int(n))] = FockOperator(basis, ann)
-            ops[("b_dag", int(n))] = FockOperator(basis, cre)
+        kind = "a" if n >= 0 else "b"
+        ops[(kind, int(n))] = ann
+        ops[(kind + "_dag", int(n))] = ann.dagger()
     return ops
 
 
 def charge_operator(basis: FockBasis) -> FockOperator:
-    diag = basis.charges.astype(complex)
-    return FockOperator(basis, sp.diags(diag).tocsr())
+    return diagonal_operator(basis, basis.charges.astype(complex))
 
 
 def second_quantize_diagonal(u: OneParticleOperator, basis: FockBasis) -> FockOperator:
@@ -208,7 +311,30 @@ def second_quantize_diagonal(u: OneParticleOperator, basis: FockBasis) -> FockOp
         w = eig[j] if j >= basis.window.n_minus else np.conj(eig[j])
         occupied = ((masks >> j) & 1).astype(bool)
         phase[occupied] *= w
-    return FockOperator(basis, sp.diags(phase).tocsr())
+    return diagonal_operator(basis, phase)
+
+
+def _dgamma_terms(
+    a: OneParticleOperator, basis: FockBasis
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """dG(A) as gathers (dst, src, amp): A[m,n] psi*_m psi_n for every nonzero
+    A[m,n], and the constant -tr A-- on the diagonal.
+
+    psi_n = a_n empties an occupied plus slot n and psi_n = b*_n fills an
+    empty minus slot n; psi*_m does the reverse on slot m.
+    """
+    masks = np.arange(basis.dim, dtype=np.int64)
+    plus = np.arange(basis.window.size) >= basis.window.n_minus
+    constant = np.full(basis.dim, -np.trace(a.minus_minus), dtype=complex)
+    terms = [(masks, masks, constant)]
+    for m, n in zip(*np.nonzero(a.matrix)):
+        src = masks[((masks >> n) & 1) == plus[n]]
+        mid = src ^ (np.int64(1) << n)
+        ok = ((mid >> m) & 1) != plus[m]
+        src, mid = src[ok], mid[ok]
+        amp = a.matrix[m, n] * _jw_signs(src, n) * _jw_signs(mid, m)
+        terms.append((mid ^ (np.int64(1) << m), src, amp))
+    return terms
 
 
 def dgamma(a: OneParticleOperator, basis: FockBasis) -> FockOperator:
@@ -219,31 +345,50 @@ def dgamma(a: OneParticleOperator, basis: FockBasis) -> FockOperator:
     the minus-minus block, so the vacuum expectation vanishes and
     dG(identity) is the charge operator.
     """
-    ops = car_operators(basis)
-    psi = [
-        ops[("a", int(n))].matrix if n >= 0 else ops[("b_dag", int(n))].matrix
-        for n in basis.window.modes
-    ]
-    total = -np.trace(a.minus_minus) * sp.identity(basis.dim, dtype=complex, format="csr")
-    for m, psi_m in enumerate(psi):
-        psi_m_star = psi_m.conj().T
-        for n, psi_n in enumerate(psi):
-            if a.matrix[m, n] != 0:
-                total = total + a.matrix[m, n] * (psi_m_star @ psi_n)
-    return FockOperator(basis, total.tocsr())
+    return functools.reduce(
+        operator.add, (_gather(basis, *term) for term in _dgamma_terms(a, basis))
+    )
+
+
+def _block_diagonal(basis: FockBasis, blocks: list[tuple[np.ndarray, np.ndarray]]) -> FockOperator:
+    """The operator acting as the matrix u on the basis indices idx, for
+    every (idx, u) in blocks; the index sets partition the basis."""
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        out = np.empty((basis.dim, x.shape[1]), dtype=complex)
+        for idx, u in blocks:
+            out[idx] = u @ x[idx]
+        return out
+
+    def adjoint(y: np.ndarray) -> np.ndarray:
+        out = np.empty((basis.dim, y.shape[1]), dtype=complex)
+        for idx, u in blocks:
+            out[idx] = u.conj().T @ y[idx]
+        return out
+
+    return FockOperator(basis, forward, adjoint)
 
 
 def implementer_exp(a: OneParticleOperator, t: float, basis: FockBasis) -> FockOperator:
-    """Unitary exp(i t dG(A)) for Hermitian A, one charge block at a time."""
+    """Unitary exp(i t dG(A)) for Hermitian A, one charge block at a time.
+
+    dG(A) keeps the charge, so its entries fill one dense block per sector,
+    and each block is exponentiated by ``hermitian_exp``.
+    """
     dev = np.max(np.abs(a.matrix - a.matrix.conj().T))
     if dev > _HERMITIAN_TOL * max(1.0, float(np.max(np.abs(a.matrix)))):
         raise NotHermitian(f"generator deviates from Hermitian by {dev:.3e}")
-    gen = dgamma(a, basis).matrix
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for q in np.unique(basis.charges):
-        idx = basis.sector_masks(int(q))
-        mat[np.ix_(idx, idx)] = dense_expm(1j * t * gen[idx][:, idx].toarray())
-    return FockOperator(basis, mat)
+    dst, src, amp = (np.concatenate(parts) for parts in zip(*_dgamma_terms(a, basis)))
+    position = np.empty(basis.dim, dtype=np.int64)
+    blocks = []
+    for q in basis.sector_charges():
+        idx = basis.sector_masks(q)
+        position[idx] = np.arange(idx.size)
+        inside = basis.charges[src] == q
+        gen = np.zeros((idx.size, idx.size), dtype=complex)
+        np.add.at(gen, (position[dst[inside]], position[src[inside]]), amp[inside])
+        blocks.append((idx, hermitian_exp(gen, t)))
+    return _block_diagonal(basis, blocks)
 
 
 def _is_canonical_shift(v: OneParticleOperator) -> bool:
@@ -272,20 +417,13 @@ def implementer_shift(v: OneParticleOperator, basis: FockBasis) -> FockOperator:
     bit_minus_one = np.int64(1) << (n_minus - 1)
     bit_zero = np.int64(1) << n_minus
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-
     # Term 1: shift every occupation up one slot, then create the mode-0
     # particle.  Blocked when mode M or the antiparticle at -1 is occupied.
     ok1 = ((masks & bit_top) == 0) & ((masks & bit_minus_one) == 0)
     src1 = masks[ok1]
     dst1 = (src1 << 1) | bit_zero
     p_plus = _popcount(src1 & basis.plus_bits)
-    amp1 = (1.0 - 2.0 * (p_plus & 1)).astype(complex)
-    rows.append(dst1)
-    cols.append(src1)
-    data.append(amp1)
+    amp1 = 1.0 - 2.0 * (p_plus & 1)
 
     # Term 2: annihilate the antiparticle at -1, then shift everything up.
     ok2 = ((masks & bit_minus_one) != 0) & ((masks & bit_top) == 0)
@@ -294,16 +432,16 @@ def implementer_shift(v: OneParticleOperator, basis: FockBasis) -> FockOperator:
     dst2 = stripped << 1
     jw = _popcount(src2 & (bit_minus_one - 1)) & 1
     total = (_popcount(src2) - 1) & 1
-    amp2 = ((1.0 - 2.0 * jw) * (1.0 - 2.0 * total)).astype(complex)
-    rows.append(dst2)
-    cols.append(src2)
-    data.append(amp2)
+    amp2 = (1.0 - 2.0 * jw) * (1.0 - 2.0 * total)
 
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-    ).tocsr()
-    return FockOperator(basis, mat)
+    # term 1 targets states with mode 0 occupied, term 2 states without it,
+    # so no target repeats
+    return _gather(
+        basis,
+        np.concatenate([dst1, dst2]),
+        np.concatenate([src1, src2]),
+        np.concatenate([amp1, amp2]),
+    )
 
 
 @dataclass(frozen=True)
@@ -347,7 +485,7 @@ def conjugate_blocks(v: OneParticleOperator) -> ConjugateBlocks:
     )
 
 
-def _compound(block: np.ndarray) -> sp.csr_matrix:
+def _compound(block: np.ndarray) -> np.ndarray:
     """All minors of a square block, indexed by row and column subset masks.
 
     Entry (t, s) is the determinant of the block restricted to the index
@@ -358,19 +496,14 @@ def _compound(block: np.ndarray) -> sp.csr_matrix:
     masks = np.arange(1 << n, dtype=np.int64)
     sizes = _popcount(masks)
     bits = (masks[:, None] >> np.arange(n)) & 1
-    rows, cols, data = [masks[:1]], [masks[:1]], [np.ones(1, dtype=complex)]
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    out[0, 0] = 1.0
     for k in range(1, n + 1):
         subsets = masks[sizes == k]
         idx = np.nonzero(bits[subsets])[1].reshape(-1, k)
         minors = np.linalg.det(block[idx[:, None, :, None], idx[None, :, None, :]])
-        t, s = np.nonzero(minors)
-        rows.append(subsets[t])
-        cols.append(subsets[s])
-        data.append(minors[t, s])
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(1 << n, 1 << n),
-    )
+        out[np.ix_(subsets, subsets)] = minors
+    return out
 
 
 def gamma_multiplicative(
@@ -382,31 +515,55 @@ def gamma_multiplicative(
     the minus block; the matrix element between occupation states is the
     product of the two minor determinants.  A mask is (plus bits << n_minus)
     | minus bits, so the operator is the Kronecker product of the blocks'
-    compound matrices.
+    compound matrices, applied to a column block reshaped as
+    (plus masks, minus masks, columns).
     """
-    mat = sp.kron(_compound(plus_block), _compound(minus_block), format="csr")
-    return FockOperator(basis, mat)
+    plus, minus = _compound(plus_block), _compound(minus_block)
+
+    def kron_apply(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # einsum("ab,cd,bdk->ack") as two matrix products
+        k = x.shape[1]
+        y = left @ x.reshape(left.shape[1], right.shape[1] * k)
+        return (right @ y.reshape(left.shape[0], right.shape[1], k)).reshape(basis.dim, k)
+
+    plus_h, minus_h = plus.conj().T, minus.conj().T
+    return FockOperator(
+        basis, lambda x: kron_apply(plus, minus, x), lambda y: kron_apply(plus_h, minus_h, y)
+    )
 
 
-def _pair_exponential(coefficients: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
+def _pair_exponential(coefficients: np.ndarray, basis: FockBasis) -> FockOperator:
     """exp(sum C[p,m] a*_p b*_m) over particle modes p and antiparticle modes m.
 
     The pair terms commute with one another and square to zero, so the
-    exponential is exactly the finite product of the factors 1 + C[p,m] a*_p b*_m.
+    exponential is exactly the finite product of the factors 1 + C[p,m] a*_p b*_m,
+    applied one factor at a time.
     """
     ops = car_operators(basis)
     n_minus = basis.window.n_minus
-    one = sp.identity(basis.dim, dtype=complex, format="csr")
-    out = one
-    for (p, i_minus), c in np.ndenumerate(coefficients):
-        if c != 0:
-            pair = ops[("a_dag", p)].matrix @ ops[("b_dag", i_minus - n_minus)].matrix
-            out = out @ (one + c * pair)
-    return out.tocsr()
+    factors = [
+        (complex(c), ops[("a_dag", p)] @ ops[("b_dag", i_minus - n_minus)])
+        for (p, i_minus), c in np.ndenumerate(coefficients)
+        if c != 0
+    ]
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        out = x.copy()
+        for c, pair in reversed(factors):
+            out += c * pair.action(out)
+        return out
+
+    def adjoint(y: np.ndarray) -> np.ndarray:
+        out = y.copy()
+        for c, pair in factors:
+            out += c.conjugate() * pair.adjoint_action(out)
+        return out
+
+    return FockOperator(basis, forward, adjoint)
 
 
 def ec_normal_ordered(z: ConjugateBlocks, basis: FockBasis) -> FockOperator:
-    """Normal-ordered exponential E_c(Z), sparse.
+    """Normal-ordered exponential E_c(Z), matrix-free.
 
     E_c(Z) = exp(Z+- a* b*) G_+(Z++) G_-(Z--^T) exp(-Z-+ b a); used to
     cross-validate the explicit charge-shift implementer on small windows.
@@ -414,9 +571,9 @@ def ec_normal_ordered(z: ConjugateBlocks, basis: FockBasis) -> FockOperator:
     (a*_p b*_m)* = b_m a_p.
     """
     left = _pair_exponential(z.plus_minus, basis)
-    right = _pair_exponential(-z.minus_plus.conj().T, basis).conj().T
+    right = _pair_exponential(-z.minus_plus.conj().T, basis).dagger()
     middle = gamma_multiplicative(z.plus_plus, z.minus_minus.T, basis)
-    return FockOperator(basis, (left @ middle.matrix @ right).tocsr())
+    return left @ middle @ right
 
 
 def _kernel_unit_vector(block: np.ndarray) -> np.ndarray:
@@ -454,16 +611,22 @@ def ec_route_implementer(v: OneParticleOperator, basis: FockBasis) -> FockOperat
     e_zero = v.matrix @ full
     if np.linalg.norm(e_zero[:n_minus]) > 1e-10:
         raise WrongClass("image of the kernel vector is not a particle vector")
-    create = sum(amp * ops[("a_dag", i)].matrix for i, amp in enumerate(e_zero[n_minus:]) if amp)
-    annihilate = sum(amp * ops[("b", i - n_minus)].matrix for i, amp in enumerate(e_minus) if amp)
-    raw = create @ ec.matrix + ec.matrix @ annihilate
-    vac_image = np.asarray(raw @ basis.vacuum())
+    create = functools.reduce(
+        operator.add,
+        (amp * ops[("a_dag", i)] for i, amp in enumerate(e_zero[n_minus:]) if amp),
+    )
+    annihilate = functools.reduce(
+        operator.add,
+        (amp * ops[("b", i - n_minus)] for i, amp in enumerate(e_minus) if amp),
+    )
+    raw = create @ ec + ec @ annihilate
+    vac_image = raw.apply(basis.vacuum())
     norm = np.linalg.norm(vac_image)
     if norm == 0:
         raise WrongClass("vacuum image vanished in the normal-ordered route")
     k = int(np.argmax(np.abs(vac_image)))
     phase = vac_image[k] / abs(vac_image[k])
-    return FockOperator(basis, raw / (norm * phase))
+    return (1.0 / (norm * phase)) * raw
 
 
 def truncation_safe_probes(
@@ -552,6 +715,17 @@ def probe_matrix(basis: FockBasis, probe_masks: Sequence[int]) -> np.ndarray:
     return mat
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a nonempty 1-D array, bit for bit, without the import of
+    numpy.ma (13 ms) that np.median makes on its first call: the middle
+    order statistic, or the mean of the two middle ones; NaN if any is NaN."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if np.isnan(ordered[-1]):
+        return float("nan")
+    return float(ordered[mid] if ordered.size % 2 else 0.5 * (ordered[mid - 1] + ordered[mid]))
+
+
 def phase_from_elements(
     forward: np.ndarray, reversed_: np.ndarray, floor: float = 1e-10
 ) -> tuple[complex, float]:
@@ -567,7 +741,7 @@ def phase_from_elements(
     if not np.any(keep):
         raise NoSignificantEntries("all reversed-order elements below the floor")
     ratios = fw[keep] / rv[keep]
-    med = complex(np.median(ratios.real), np.median(ratios.imag))
+    med = complex(_median(ratios.real), _median(ratios.imag))
     if med == 0:
         raise NoSignificantEntries("median ratio vanished")
     phase = med / abs(med)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .covering import TWO_PI
 from .errors import GridTooCoarse, ResourceLimit, WindowMismatch
@@ -190,9 +189,12 @@ def from_coefficients(
         if arr.shape != (2 * n_max + 1,):
             raise ValueError("coefficient array must have length 2*n_max+1")
         coeffs = arr
-    xs = grid_points(max(4 * n_max + 4, 16))
-    ns = np.arange(-n_max, n_max + 1)
-    samples = np.exp(1j * np.outer(xs, ns)) @ coeffs / SQRT_TWO_PI
+    # the grid holds more points than coefficients, so the synthesis
+    # sum_n c_n exp(i n x_j) / sqrt(2 pi) is one inverse FFT without aliasing
+    grid_size = max(4 * n_max + 4, 16)
+    spectrum = np.zeros(grid_size, dtype=complex)
+    spectrum[np.arange(-n_max, n_max + 1) % grid_size] = coeffs
+    samples = np.fft.ifft(spectrum) * (grid_size / SQRT_TWO_PI)
     return PeriodicFunction(samples, coeffs, n_max)
 
 
@@ -261,10 +263,9 @@ def multiplication_operator(f: PeriodicFunction, window: ModeWindow) -> OneParti
             f"need coefficients up to |n|={need}, function retains {f.n_max}"
         )
     window.require_matrix_budget()
-    k0 = f.n_max
-    first_col = f.coefficients[k0 : k0 + window.size] / SQRT_TWO_PI
-    first_row = f.coefficients[k0 - window.size + 1 : k0 + 1][::-1] / SQRT_TWO_PI
-    return OneParticleOperator(window, toeplitz(first_col, first_row))
+    slots = np.arange(window.size)
+    offsets = f.n_max + slots[:, None] - slots[None, :]
+    return OneParticleOperator(window, f.coefficients[offsets] / SQRT_TWO_PI)
 
 
 def shift_operator(window: ModeWindow) -> OneParticleOperator:

@@ -7,6 +7,7 @@ runtime (several minutes).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,19 @@ def test_cones_fail_when_lp_sees_one_ray(monkeypatch):
 def test_implementer_claims_pass_without_defect_at_cutoff_3():
     assert acceptance.check_implementer_crossval(cutoff=3).passed
     assert acceptance.check_implementer_algebra(cutoff=3).passed
+
+
+def test_implementer_claims_build_no_full_fock_matrix_at_the_dense_limit():
+    # at M = 5 one 2048 x 2048 complex array is 64 MiB; the matrix-free
+    # claims work on probe and scan blocks of at most 2048 x 64 entries
+    tracemalloc.start()
+    try:
+        assert acceptance.check_implementer_algebra(cutoff=5).passed
+        assert acceptance.check_implementer_crossval(cutoff=5).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_crossval_fails_when_minus_block_is_untransposed(monkeypatch):

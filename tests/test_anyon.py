@@ -144,7 +144,7 @@ def test_rotation_scalar_exact_at_two_pi():
     # is the scalar exp(2 pi i s q^2) on every charge sector
     basis = FockBasis(ModeWindow(4))
     for spin in (0.5, 0.25, -0.5):
-        diag = rotation_rep(TWO_PI, spin, basis).matrix.diagonal()
+        diag = rotation_rep(TWO_PI, spin, basis).to_dense().diagonal()
         for q in (-2, 0, 3):
             block = diag[basis.sector_masks(q)]
             assert np.all(block == block[0])

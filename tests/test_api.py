@@ -132,17 +132,77 @@ def test_oracle_exceptions_are_exports():
     assert set(TEST_ORACLES) <= set(anyoncircle.__all__)
 
 
-def test_cli_imports_no_optimizer_or_integrator():
-    # scipy.optimize and scipy.integrate pull in about 200 modules that no
-    # claim needs; the package keeps scipy for sparse and linalg only
-    code = (
-        "import sys, anyoncircle.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))"
-    )
-    src = str(PACKAGE_DIR.parent)
+# a smoke campaign whose implementer claims run the dense Fock route at M = 5
+SMOKE_CFG = """\
+[exchange]
+cutoffs = 4
+threshold_scale = 4.0
+
+[schwinger]
+samples = 1
+
+[implementer]
+cutoff = 5
+
+[recurrence]
+cutoff = 4
+
+[rotation]
+cutoff = 3
+dense_cutoff = 3
+
+[cones]
+scan_pairs = 10
+
+[winding]
+pairs = 200
+"""
+
+
+def _scipy_modules_after(code):
+    """scipy modules loaded after running code in a fresh interpreter."""
+    script = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_and_report_load_no_scipy(tmp_path):
+    # the package runs on numpy alone; scipy is a test dependency
+    assert _scipy_modules_after("import anyoncircle.cli") == "[]"
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text(SMOKE_CFG)
+    out = tmp_path / "out"
+    report = (
+        "from anyoncircle.cli import main\n"
+        f"assert main(['report', '--config', {str(cfg)!r}, '--output-dir', {str(out)!r}]) == 0"
+    )
+    assert _scipy_modules_after(report) == "[]"
+    assert "implementer-vacuum,5," in (out / "lemma-implementer.csv").read_text()
+
+
+def _scipy_imports(tree):
+    """Line numbers of every absolute import of scipy or a scipy submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield node.lineno
+
+
+def test_package_source_never_imports_scipy():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for line in _scipy_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+    # the scan sees imports inside functions
+    nested = "def f():\n    from scipy.linalg import expm\n    import scipy.sparse as sp\n"
+    assert list(_scipy_imports(ast.parse(nested))) == [2, 3]

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from anyoncircle import cones
@@ -240,6 +239,14 @@ def test_space_validation():
         FunctionSpace(["f1", "f2"], np.array([[1.0, 0.5], [0.5, 1.0]]), polys)
 
 
+def test_space_fock_operators_stay_in_the_byte_budget():
+    # 2^11-dimensional dense ladders take 64 MiB each; 2^12 would take 256
+    polys = [ORIGIN + 3.0 * i for i in range(12)]
+    assert FunctionSpace([f"f{i}" for i in range(11)], np.eye(11), polys[:11]).fock_dim == 2048
+    with pytest.raises(ResourceLimit):
+        FunctionSpace([f"f{i}" for i in range(12)], np.eye(12), polys)
+
+
 def test_fermi_car_reproduces_gram():
     gram = np.array([[1.0, 0.3], [0.3, 2.0]])
     polys = [
@@ -251,11 +258,11 @@ def test_fermi_car_reproduces_gram():
     for i in range(2):
         for j in range(2):
             ann, cre = space.annihilator(i), space.creator(j)
-            anti = (ann @ cre + cre @ ann).toarray()
+            anti = ann @ cre + cre @ ann
             assert np.max(np.abs(anti - gram[i, j] * eye)) < 1e-12
             both = space.annihilator(i) @ space.annihilator(j)
-            assert np.max(np.abs((both + space.annihilator(j) @ space.annihilator(i)).toarray())) < 1e-12
-    psi = [fermi_field(i, space).toarray() for i in range(2)]
+            assert np.max(np.abs(both + space.annihilator(j) @ space.annihilator(i))) < 1e-12
+    psi = [fermi_field(i, space) for i in range(2)]
     for i in range(2):
         for j in range(2):
             anti = psi[i] @ psi[j] + psi[j] @ psi[i]
@@ -269,7 +276,7 @@ def test_disjoint_fermi_fields_anticommute_exactly():
     # real test functions: each field is self-adjoint, so the adjoint
     # pairing is the same anticommutator
     psi = fermi_field(0, space)
-    assert np.max(np.abs((psi - psi.conj().T).toarray())) == 0.0
+    assert np.max(np.abs(psi - psi.conj().T)) == 0.0
 
 
 def test_tensor_exchange_factorizes():
@@ -279,8 +286,8 @@ def test_tensor_exchange_factorizes():
     c2 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     fermi_fw, fermi_rv = fermi_exchange_elements(space, 0, 1)
     phase, dev = tensor_exchange_from_parts(fermi_fw, fermi_rv, c1 @ c2, c2 @ c1)
-    t1 = sp.kron(fermi_field(0, space), sp.csr_matrix(c1)).toarray()
-    t2 = sp.kron(fermi_field(1, space), sp.csr_matrix(c2)).toarray()
+    t1 = np.kron(fermi_field(0, space), c1)
+    t2 = np.kron(fermi_field(1, space), c2)
     from anyoncircle.fock import phase_from_elements
 
     direct, direct_dev = phase_from_elements((t1 @ t2).ravel(), (t2 @ t1).ravel())

@@ -13,6 +13,7 @@ from anyoncircle.modes import (
     OneParticleOperator,
     PeriodicFunction,
     analyze,
+    from_coefficients,
     grid_points,
     hs_offdiag_norm_sq,
     multiplication_operator,
@@ -176,3 +177,17 @@ def test_sawtooth_coefficients_exact():
     assert f.mean() == pytest.approx(math.pi, abs=1e-12)
     assert f.coefficient(3) == pytest.approx(1j * SQRT_TWO_PI / 3, abs=1e-12)
     assert f.coefficient(-3) == pytest.approx(-1j * SQRT_TWO_PI / 3, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 16, 129])
+def test_from_coefficients_samples_are_the_retained_mode_synthesis(n_max):
+    # one inverse FFT on the grid max(4n + 4, 16) against the direct sum
+    # sum_n c_n exp(i n x_j) / sqrt(2 pi)
+    rng = np.random.default_rng(n_max)
+    coeffs = rng.normal(size=2 * n_max + 1) + 1j * rng.normal(size=2 * n_max + 1)
+    ns = np.arange(-n_max, n_max + 1)
+    for f in (from_coefficients(coeffs, n_max), sawtooth_coefficients(n_max)):
+        xs = grid_points(max(4 * n_max + 4, 16))
+        direct = np.exp(1j * np.outer(xs, ns)) @ f.coefficients / SQRT_TWO_PI
+        assert f.samples.shape == direct.shape
+        assert np.max(np.abs(f.samples - direct)) < 1e-13 * max(1.0, np.max(np.abs(direct)))
